@@ -11,11 +11,9 @@ that confronts the sampled laws with the exact one.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .bijection import mapping_to_rooted_tree
 from .core import Mapping, RootedTree, unique_cyclic_vertex
@@ -23,8 +21,8 @@ from .enumeration import exact_collision_pmf, exact_height_pmf
 from .montecarlo import (
     Histogram,
     RngStream,
-    _split_ranges,
     chi_square_statistic,
+    run_trials,
     two_sample_chi_square,
 )
 
@@ -230,9 +228,16 @@ def tally_law_histograms(
     return h_counts, c_counts
 
 
+def _merge_histograms(parts) -> tuple[list[int], list[int]]:
+    h_parts, c_parts = zip(*parts)
+    return [sum(c) for c in zip(*h_parts)], [sum(c) for c in zip(*c_parts)]
+
+
 def _critical_value(df: int, level: float) -> float:
     if df <= 0:
         return 0.0
+    from scipy.stats import chi2  # deferred: scipy.stats dominates import time
+
     return float(chi2.ppf(level, df))
 
 
@@ -253,28 +258,11 @@ def law_equality_report(
     shifted height pmf and the collision pmf.  All tests use the given
     level's chi-square critical values.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if method not in ("rejection", "prufer"):
         raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
-    if jobs == 1 or trials < 2 * jobs:
-        h_counts, c_counts = tally_law_histograms(n, master_seed, 0, trials, method)
-    else:
-        ranges = _split_ranges(trials, jobs)
-        h_counts = [0] * n
-        c_counts = [0] * n
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                tally_law_histograms,
-                [n] * len(ranges),
-                [master_seed] * len(ranges),
-                [lo for lo, _ in ranges],
-                [hi for _, hi in ranges],
-                [method] * len(ranges),
-            )
-            for hc, cc in parts:
-                h_counts = [a + b for a, b in zip(h_counts, hc)]
-                c_counts = [a + b for a, b in zip(c_counts, cc)]
+    h_counts, c_counts = run_trials(
+        tally_law_histograms, n, master_seed, trials, jobs, _merge_histograms, method
+    )
     hist_h = Histogram(1, tuple(h_counts), trials)
     hist_c = Histogram(1, tuple(c_counts), trials)
     pmf = {k: p for k, p in enumerate(exact_collision_pmf(n), start=1)}

@@ -253,3 +253,33 @@ def test_jobs_flag_gives_identical_bytes(capsys):
     _, out1, _ = run_cli(capsys, *args, "--jobs", "1")
     _, out2, _ = run_cli(capsys, *args, "--jobs", "3")
     assert out1 == out2
+
+
+def test_python_dash_m_package_runs_the_cli():
+    out = subprocess.run(
+        [sys.executable, "-m", "cayleykit", "--version"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout.startswith("cayleykit ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-conditionals", "--n", "5", "--trials", "10", "--jobs", "0"],
+        ["heights", "--n", "5", "--trials", "10", "--jobs", "0"],
+        ["verify-cayley", "--n", "5", "--trials", "10", "--jobs", "0"],
+        ["verify-cayley", "--n", "0", "--trials", "10"],
+    ],
+)
+def test_invalid_counts_exit_2_without_traceback(argv):
+    out = subprocess.run(
+        [sys.executable, "-m", "cayleykit", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,9 @@ from cayleykit import (
     unique_cyclic_vertex,
     wilson_interval,
 )
-from cayleykit.montecarlo import count_unique_cyclic
+from cayleykit import montecarlo
+from cayleykit.exploration import Closure, SmallestLabel, explore
+from cayleykit.montecarlo import count_unique_cyclic, draw_tables, tally_round_events
 
 SEED = 90125
 
@@ -39,6 +42,80 @@ def test_rng_stream_validation():
         RngStream(2**64, 0)
     with pytest.raises(ValueError):
         RngStream(0, -1)
+
+
+def test_rng_stream_exact_64_bit_keys():
+    # neighbouring seeds and indices at or above 2**63 give distinct streams
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in [
+            (RngStream(2**63 + 5, 3), RngStream(2**63 + 6, 3)),
+            (RngStream(2**64 - 1, 3), RngStream(2**64 - 2, 3)),
+            (RngStream(7, 2**64 - 1), RngStream(7, 2**64 - 2)),
+        ]:
+            assert sample_mapping(50, a) != sample_mapping(50, b)
+
+
+def _scalar_tables(n, seed, start, stop):
+    rows = [RngStream(seed, i).generator().integers(0, n, size=n) for i in range(start, stop)]
+    return np.array(rows, dtype=np.int64).reshape(stop - start, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 100, 256, 257, 1000])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+def test_draw_tables_matches_scalar_streams(n, seed):
+    for start, stop in [(0, 130), (1021, 1100), (2**64 - 37, 2**64)]:
+        tables = draw_tables(n, seed, start, stop)
+        assert tables.dtype == np.int64
+        assert np.array_equal(tables, _scalar_tables(n, seed, start, stop))
+
+
+def _draws_consumed(gen):
+    """32-bit draws a fresh Philox generator has handed out so far."""
+    state = gen.bit_generator.state
+    words = (int(state["state"]["counter"][0]) - 1) * 4 + state["buffer_pos"]
+    return 2 * words - state["has_uint32"]
+
+
+def _rejecting(n, seed, start, stop):
+    """Indices whose scalar stream draws past n: a Lemire rejection."""
+    hits = []
+    for i in range(start, stop):
+        gen = RngStream(seed, i).generator()
+        gen.integers(0, n, size=n)
+        if _draws_consumed(gen) > n:
+            hits.append(i)
+    return hits
+
+
+def test_draw_tables_falls_back_on_lemire_rejections():
+    # of all n <= 256, n = 244 rejects most often (numpy's threshold
+    # 2**32 mod n is 240); under SEED trial 99469 is the first to reject
+    n, start, stop = 244, 99_400, 99_500
+    assert _rejecting(n, SEED, start, stop) == [99_469]
+    assert np.array_equal(draw_tables(n, SEED, start, stop), _scalar_tables(n, SEED, start, stop))
+
+
+def test_vectorised_draws_at_large_n(monkeypatch):
+    # at n = 50000 about one row in five rejects; both the per-row
+    # generator and the vectorised draws with fallback give its bits
+    n, start, stop = 50_000, 0, 60
+    hits = _rejecting(n, SEED, start, stop)
+    assert 0 < len(hits) < stop - start
+    want = _scalar_tables(n, SEED, start, stop)
+    assert np.array_equal(draw_tables(n, SEED, start, stop), want)
+    monkeypatch.setattr(montecarlo, "_VECTOR_MAX_N", n)
+    assert np.array_equal(draw_tables(n, SEED, start, stop), want)
+
+
+def test_draw_tables_validation():
+    assert draw_tables(5, SEED, 10, 10).shape == (0, 5)
+    with pytest.raises(ValueError):
+        draw_tables(0, SEED, 0, 10)
+    with pytest.raises(ValueError):
+        draw_tables(5, 2**64, 0, 10)
+    with pytest.raises(ValueError):
+        draw_tables(5, SEED, 2**64 - 1, 2**64 + 1)
 
 
 def test_sample_mapping_trivial_and_scale():
@@ -62,15 +139,13 @@ def test_sample_mapping_uniformity_small_exhaustive():
 
 
 def test_sample_mapping_uniformity_spot_check_n4():
-    # spot-check 10 fixed tables out of 256 over a large sample
+    # spot-check 10 fixed tables out of 256 over a large sample; the
+    # batched draw gives the per-trial streams' bits (tested above)
     trials = 1_000_000
     batch = 8192
     hits = np.zeros(256, dtype=np.int64)
     for lo in range(0, trials, batch):
-        hi = min(lo + batch, trials)
-        rows = np.empty((hi - lo, 4), dtype=np.int64)
-        for j, trial in enumerate(range(lo, hi)):
-            rows[j] = RngStream(SEED, trial).generator().integers(0, 4, size=4)
+        rows = draw_tables(4, SEED, lo, min(lo + batch, trials))
         codes = rows[:, 0] * 64 + rows[:, 1] * 16 + rows[:, 2] * 4 + rows[:, 3]
         hits += np.bincount(codes, minlength=256)
     p = 1 / 256
@@ -94,6 +169,37 @@ def test_vectorized_counter_matches_object_path():
         + count_unique_cyclic(n, SEED, 123, trials)
         == expected
     )
+
+
+def test_batched_counter_across_chunk_boundaries(monkeypatch):
+    # ranges that start off a chunk multiple and span several chunks
+    n, start, stop = 3, 1000, 3100
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 512 * n)
+    expected = sum(
+        unique_cyclic_vertex(sample_mapping(n, RngStream(SEED, i))) is not None
+        for i in range(start, stop)
+    )
+    assert count_unique_cyclic(n, SEED, start, stop) == expected
+    top = 2**64
+    expected = sum(
+        unique_cyclic_vertex(sample_mapping(n, RngStream(SEED, i))) is not None
+        for i in range(top - 1500, top)
+    )
+    assert count_unique_cyclic(n, SEED, top - 1500, top) == expected
+
+
+def test_tally_round_events_matches_per_trial_path():
+    n, start, stop = 7, 1500, 2700
+    expected = {}
+    for i in range(start, stop):
+        trace = explore(sample_mapping(n, RngStream(SEED, i)), SmallestLabel())
+        t_prev = 0
+        for r, t_cur in zip(trace.rounds, trace.T):
+            closed = Closure.SELF_LOOP if r.index == 1 else Closure.PRIOR_ROUND
+            obs, succ = expected.get((r.index, t_prev, t_cur), (0, 0))
+            expected[(r.index, t_prev, t_cur)] = (obs + 1, succ + (r.closure is closed))
+            t_prev = t_cur
+    assert tally_round_events(n, SEED, start, stop) == expected
 
 
 def test_estimate_unique_cyclic_trivial_n1():
