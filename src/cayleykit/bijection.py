@@ -222,32 +222,42 @@ def prufer_encode(n: int, edges) -> PruferSequence:
     return PruferSequence(n, tuple(seq))
 
 
-def prufer_decode(p: PruferSequence) -> list[tuple[int, int]]:
-    """Decode a Prufer sequence into a labelled tree's edge list.
+def prufer_parents(p: PruferSequence) -> list[int]:
+    """Decode a Prufer sequence into its tree's parent array, rooted at n.
 
     Degree-count decoding: a vertex's degree is one plus its number of
-    occurrences; the lowest-labelled current leaf pairs with the next
-    sequence entry.  Returns edges as sorted (min, max) pairs.
+    occurrences; the lowest-labelled current leaf takes the next
+    sequence entry as its parent, and the last leaf below n takes n.
+    Entry v-1 is the parent of v, with NO_PARENT in n's slot.
     """
     n = p.n
+    parent = [NO_PARENT] * n
     if n == 1:
-        return []
+        return parent
     degree = [1] * (n + 1)
     for x in p.seq:
         degree[x] += 1
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
-    edges = []
     for x in p.seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+        parent[heapq.heappop(leaves) - 1] = x
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return sorted(edges)
+    parent[heapq.heappop(leaves) - 1] = n
+    return parent
+
+
+def prufer_decode(p: PruferSequence) -> list[tuple[int, int]]:
+    """Decode a Prufer sequence into a labelled tree's edge list.
+
+    Returns the edges of prufer_parents' tree as sorted (min, max) pairs.
+    """
+    return sorted(
+        (v, w) if v < w else (w, v)
+        for v, w in enumerate(prufer_parents(p), start=1)
+        if w != NO_PARENT
+    )
 
 
 def tree_edges(t: RootedTree) -> list[tuple[int, int]]:

@@ -2,8 +2,10 @@
 
 Every randomized subcommand takes an explicit seed (or the pinned
 default) and echoes it in its JSON output, so any run can be replayed
-byte for byte.  Exit status: 0 on success, 1 when a statistical
-verification fails, 2 on input errors.
+byte for byte.  Exit status: 0 on success, 2 on input errors, and 1
+in two cases: a statistical verification failed (its report is on
+stdout), or the rejection sampler hit its attempt cap, which means a
+broken random source (an ``error:`` line on stderr, nothing on stdout).
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ that confronts the sampled laws with the exact one.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import mapping_to_rooted_tree
+from . import montecarlo
+from .bijection import PruferSequence, mapping_to_rooted_tree, prufer_parents
 from .core import Mapping, RootedTree, unique_cyclic_vertex
 from .enumeration import exact_collision_pmf, exact_height_pmf
 from .montecarlo import (
@@ -40,57 +40,33 @@ class HeightSample:
     attempts: int
 
 
-def _sample_tree_rejection(gen: np.random.Generator, n: int) -> tuple[RootedTree, int]:
-    cap = ATTEMPT_CAP_FACTOR * n
-    for attempt in range(1, cap + 1):
-        table = tuple(int(x) for x in gen.integers(1, n + 1, size=n))
-        m = Mapping(n, table)
-        if unique_cyclic_vertex(m) is not None:
-            return mapping_to_rooted_tree(m), attempt
-    raise RuntimeError(
-        f"no unique-cyclic mapping accepted in {cap} attempts at n={n}; "
+def _attempt_cap_error(n: int) -> RuntimeError:
+    return RuntimeError(
+        f"no unique-cyclic mapping accepted in {ATTEMPT_CAP_FACTOR * n} attempts at n={n}; "
         "the random source looks broken"
     )
 
 
-def _decode_prufer_edges(n: int, seq: list[int]) -> list[tuple[int, int]]:
-    """Lean Prufer decode used on the sampling hot path."""
-    degree = [1] * (n + 1)
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return edges
+def _sample_tree_rejection(gen: np.random.Generator, n: int) -> tuple[RootedTree, int]:
+    for attempt in range(1, ATTEMPT_CAP_FACTOR * n + 1):
+        table = tuple(int(x) for x in gen.integers(1, n + 1, size=n))
+        m = Mapping(n, table)
+        if unique_cyclic_vertex(m) is not None:
+            return mapping_to_rooted_tree(m), attempt
+    raise _attempt_cap_error(n)
 
 
 def _sample_tree_prufer(gen: np.random.Generator, n: int) -> RootedTree:
     if n == 1:
         return RootedTree(1, 1, (0,))
-    seq = [int(x) for x in gen.integers(1, n + 1, size=n - 2)] if n > 2 else []
+    seq = tuple(int(x) for x in gen.integers(1, n + 1, size=n - 2))
     root = int(gen.integers(1, n + 1))
-    adjacency: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in _decode_prufer_edges(n, seq):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    parent = [0] * n
-    stack = [root]
-    seen = bytearray(n + 1)
-    seen[root] = 1
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w - 1] = v
-                stack.append(w)
+    parent = prufer_parents(PruferSequence(n, seq))
+    v, prev = root, 0  # re-root: reverse the parent pointers from root up to n
+    while v:
+        nxt = parent[v - 1]
+        parent[v - 1] = prev
+        v, prev = nxt, v
     return RootedTree(n, root, tuple(parent))
 
 
@@ -209,6 +185,101 @@ class LawEqualityReport:
         }
 
 
+def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
+    """The Prufer sampler's height on each stream; -1 where a draw was rejected.
+
+    Draws [0, n-2) are the word, draw n-2 the root and draw n-1 the
+    vertex.  All words are decoded at once toward vertex n (0-based
+    n-1): each step joins the smallest leaf to the next word entry.
+    The height is dist(root, vertex): the climb from the vertex to the
+    first ancestor of the root, plus that ancestor's distance to the root.
+    """
+    rows, rejected = montecarlo._bounded_draws(n, master_seed, streams, 0, n)
+    r = np.arange(len(rows))
+    word, root, vertex = rows[:, : n - 2], rows[:, n - 2], rows[:, n - 1]
+    deg = 1 + np.bincount((word + n * r[:, None]).ravel(), minlength=len(rows) * n)
+    deg = deg.reshape(-1, n)
+    parent = np.full((len(rows), n), -1)
+    for x in word.T:
+        leaf = (deg == 1).argmax(axis=1)
+        parent[r, leaf] = x
+        deg[r, leaf] = 0
+        deg[r, x] -= 1
+    if n > 1:  # the last edge joins the one leaf left below n to n
+        parent[r, (deg == 1).argmax(axis=1)] = n - 1
+    up = np.full((len(rows), n), -1)  # up[j, a]: distance from root to its ancestor a
+    live, a, d = r, root, 0
+    while live.size:
+        up[live, a] = d
+        a = parent[live, a]
+        live, a, d = live[a >= 0], a[a >= 0], d + 1
+    v, climb = vertex.copy(), np.zeros(len(rows), dtype=np.int64)
+    while (off := np.flatnonzero(up[r, v] < 0)).size:
+        v[off] = parent[off, v[off]]
+        climb[off] += 1
+    heights = climb + up[r, v]
+    heights[rejected] = -1
+    return heights
+
+
+def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
+    """The rejection sampler's height on each stream; -1 where a draw was rejected.
+
+    Attempt j is draws [jn, (j+1)n) and the vertex is the draw after the
+    first accepted attempt.  Each segment draws the next attempts of the
+    streams still pending, about n per stream of the chunk in all; the
+    height is the number of f-steps from the vertex to the fixed point.
+    """
+    cap = ATTEMPT_CAP_FACTOR * n
+    heights = np.full(len(streams), -1)
+    pending = np.arange(len(streams))
+    attempt = 0
+    while pending.size:
+        if attempt >= cap:
+            raise _attempt_cap_error(n)
+        count = min(cap - attempt, max(1, len(streams) * n // pending.size))
+        rows, rejected = montecarlo._bounded_draws(
+            n, master_seed, streams[pending], attempt * n, count * n + 1
+        )
+        tables = rows[:, : count * n].reshape(-1, count, n)
+        accepted = montecarlo._unique_cyclic_mask(tables.reshape(-1, n)).reshape(-1, count)
+        found = accepted.any(axis=1)
+        done = np.flatnonzero(found & ~rejected)
+        k = accepted[done].argmax(axis=1)
+        f, v = tables[done, k], rows[done, (k + 1) * n]
+        h, j = np.zeros(len(done), dtype=np.int64), np.arange(len(done))
+        while (moving := f[j, v] != v).any():
+            h += moving
+            v = f[j, v]
+        heights[pending[done]] = h
+        pending = pending[~found & ~rejected]
+        attempt += count
+    return heights
+
+
+def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
+    """The collision count minus one on each stream; -1 where a draw was rejected.
+
+    Sweeps the n + 1 draws column by column until every row has drawn
+    a value it has seen; the count is the index of that draw.
+    """
+    rows, rejected = montecarlo._bounded_draws(n, master_seed, streams, 0, n + 1)
+    r = np.arange(len(rows))
+    seen = np.zeros((len(rows), n), dtype=bool)
+    first = np.zeros(len(rows), dtype=np.int64)
+    for t, y in enumerate(rows.T):
+        first[(first == 0) & seen[r, y]] = t
+        if first.all():
+            break
+        seen[r, y] = True
+    bins = first - 1
+    bins[rejected] = -1
+    return bins
+
+
+_HEIGHT_KERNELS = {"prufer": _prufer_heights, "rejection": _rejection_heights}
+
+
 def tally_law_histograms(
     n: int, master_seed: int, start: int, stop: int, method: str
 ) -> tuple[list[int], list[int]]:
@@ -216,16 +287,36 @@ def tally_law_histograms(
 
     Trial i draws its height sample from stream 2i and its collision
     sample from stream 2i+1, keeping the two sequences independent and
-    any trial partition reproducible.
+    any trial partition reproducible.  For n <= _VECTOR_MAX_N each chunk
+    of trials is drawn at once and tallied by array kernels that give
+    the per-trial samplers' values; a stream with a Lemire rejection in
+    what its sample reads, and every stream at larger n, goes through
+    the per-trial sampler on a re-keyed generator.  (The kernels' cost
+    per trial grows faster in n: the Prufer decode is O(n^2) per tree.)
     """
-    h_counts = [0] * n
-    c_counts = [0] * n
-    for trial in range(start, stop):
-        gen_h = RngStream(master_seed, 2 * trial).generator()
-        h_counts[_sample_height(gen_h, n, method).height] += 1
-        gen_c = RngStream(master_seed, 2 * trial + 1).generator()
-        c_counts[_sample_collision(gen_c, n) - 1] += 1
-    return h_counts, c_counts
+    if stop > start:
+        RngStream(master_seed, 2 * stop - 1)  # validates the seed and the last stream
+    samplers = (
+        lambda gen: _sample_height(gen, n, method).height,
+        lambda gen: _sample_collision(gen, n) - 1,
+    )
+    counts = np.zeros((2, n), dtype=np.int64)
+    draws_per_trial = n * n if method == "rejection" else n + 1  # on average
+    for lo, hi in montecarlo._chunk_ranges(start, stop, draws_per_trial):
+        streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64))
+        if n <= montecarlo._VECTOR_MAX_N:
+            bins = (
+                _HEIGHT_KERNELS[method](n, master_seed, streams),
+                _collision_bins(n, master_seed, streams + np.uint64(1)),
+            )
+        else:
+            bins = (np.full(hi - lo, -1),) * 2
+        for parity, (values, sample) in enumerate(zip(bins, samplers)):
+            counts[parity] += np.bincount(values[values >= 0], minlength=n)
+            redo = (2 * (lo + int(j)) + parity for j in np.flatnonzero(values < 0))
+            for gen in montecarlo._keyed_generators(master_seed, redo):
+                counts[parity, sample(gen)] += 1
+    return counts[0].tolist(), counts[1].tolist()
 
 
 def _merge_histograms(parts) -> tuple[list[int], list[int]]:
@@ -258,7 +349,9 @@ def law_equality_report(
     shifted height pmf and the collision pmf.  All tests use the given
     level's chi-square critical values.
     """
-    if method not in ("rejection", "prufer"):
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if method not in _HEIGHT_KERNELS:
         raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
     h_counts, c_counts = run_trials(
         tally_law_histograms, n, master_seed, trials, jobs, _merge_histograms, method

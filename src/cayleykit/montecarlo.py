@@ -96,15 +96,6 @@ class Histogram:
             return self.counts[value - self.lo]
         return 0
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[int], lo: int, hi: int) -> "Histogram":
-        counts = [0] * (hi - lo + 1)
-        total = 0
-        for s in samples:
-            counts[s - lo] += 1
-            total += 1
-        return cls(lo, tuple(counts), total)
-
     def to_json_dict(self) -> dict:
         return {"lo": self.lo, "counts": list(self.counts), "total": self.total}
 
@@ -166,12 +157,13 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-#: Largest n whose tables draw_tables computes with the vectorised
-#: Philox.  Its cost grows about 4x faster in n than numpy's C kernel
-#: re-keyed per trial; the two cross near n = 270 (2-core x86-64 host).
+#: Longest rows (in 32-bit draws, so the largest n of draw_tables) that
+#: are computed with the vectorised Philox.  Its cost grows about 4x
+#: faster in the row length than numpy's C kernel re-keyed per row; the
+#: two cross near 270 draws (2-core x86-64 host).
 _VECTOR_MAX_N = 256
 
-#: 32-bit draws per draw_tables call in the batched consumers; bounds
+#: 32-bit draws per chunk of trials in the batched consumers; bounds
 #: their working set for any n.
 _CHUNK_DRAWS = 1 << 16
 
@@ -186,15 +178,15 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * m_hi + (u >> _S32) + (v >> _S32), a * m
 
 
-def _philox_words(master_seed: int, indices: np.ndarray, blocks: int) -> np.ndarray:
-    """First 4*blocks 64-bit words of each stream (master_seed, indices[j]).
+def _philox_words(master_seed: int, indices: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """Words of blocks first+1 .. first+blocks of each stream (master_seed, indices[j]).
 
-    Block c (c = 1..blocks) is Philox4x64-10 of counter [c, 0, 0, 0]
-    under key (master_seed, i), the blocks numpy's Philox emits in turn.
+    Block c is Philox4x64-10 of counter [c, 0, 0, 0] under key
+    (master_seed, i); numpy's Philox emits the blocks c = 1, 2, ... in turn.
     """
     # broadcastable starting shapes: the first rounds, before the key
     # word i has reached every word, run on per-counter vectors
-    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    x0 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)[None, :]
     x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
     k0, k1 = master_seed, indices[:, None]
     for r in range(10):
@@ -207,20 +199,58 @@ def _philox_words(master_seed: int, indices: np.ndarray, blocks: int) -> np.ndar
     return np.stack([x0, x1, x2, x3], axis=-1).reshape(len(indices), 4 * blocks)
 
 
-def _keyed_rows(n: int, master_seed: int, indices: Iterable[int]) -> np.ndarray:
-    """numpy's integers(0, n, size=n) on stream (master_seed, i) for each i.
+def _bounded_draws(
+    n: int, master_seed: int, indices: np.ndarray, offset: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draws on [0, n) at 32-bit positions [offset, offset + length) of each stream.
 
-    One Philox is re-keyed through its state for each trial instead of
-    built anew, which would also seed it from OS entropy first.
+    Returns the int64 draws of stream (master_seed, indices[j]) in row j,
+    and a row mask of the windows holding a draw Lemire's method rejects.
+    numpy hands out a Philox stream's 32-bit halves contiguously across
+    integers() calls, and a rejected draw is replaced by the next half,
+    so position p is the stream's p-th bounded draw, whatever the calls,
+    as long as no draw before p was rejected.
     """
-    indices = list(indices)
+    first, skip = divmod(offset, 8)  # a Philox block holds eight 32-bit draws
+    blocks = -(-(skip + length) // 8)
+    source = _philox_words if 8 * blocks <= _VECTOR_MAX_N else _keyed_words
+    words = source(master_seed, indices, first, blocks)
+    # little-endian 32-bit views: each word's low half first, then its high half
+    draws = words.astype("<u8", copy=False).view("<u4")[:, skip : skip + length]
+    scaled = (draws * np.uint64(n)).view("<u4").reshape(len(indices), length, 2)
+    rejected = (scaled[:, :, 0] < (1 << 32) % n).any(axis=1)
+    return scaled[:, :, 1].astype(np.int64), rejected
+
+
+def _keyed_generators(master_seed: int, indices: Iterable[int]):
+    """numpy's generator at the start of stream (master_seed, i), for each i in turn.
+
+    One Philox is re-keyed through its state for each stream instead of
+    built anew, which would also seed it from OS entropy first.  Every
+    item is the same generator: use it before taking the next.
+    """
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     fresh = bits.state  # counter 0, empty buffer: the state of a new stream
-    rows = np.empty((len(indices), n), dtype=np.int64)
-    for j, i in enumerate(indices):
+    for i in indices:
         fresh["state"]["key"] = (master_seed, i)
         bits.state = fresh
+        yield gen
+
+
+def _keyed_words(master_seed: int, indices: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """_philox_words from numpy's Philox re-keyed per stream; faster for long rows."""
+    words = np.empty((len(indices), 4 * blocks), dtype=np.uint64)
+    for j, gen in enumerate(_keyed_generators(master_seed, indices.tolist())):
+        words[j] = gen.bit_generator.advance(first).random_raw(4 * blocks)
+    return words
+
+
+def _keyed_rows(n: int, master_seed: int, indices: Iterable[int]) -> np.ndarray:
+    """numpy's integers(0, n, size=n) on stream (master_seed, i) for each i."""
+    indices = list(indices)
+    rows = np.empty((len(indices), n), dtype=np.int64)
+    for j, gen in enumerate(_keyed_generators(master_seed, indices)):
         rows[j] = gen.integers(0, n, size=n)
     return rows
 
@@ -247,21 +277,23 @@ def draw_tables(n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
     if n > _VECTOR_MAX_N:
         return _keyed_rows(n, master_seed, range(start, stop))
     indices = np.uint64(start) + np.arange(max(stop - start, 0), dtype=np.uint64)
-    blocks = -(-n // 8)  # a Philox block holds eight 32-bit draws
-    words = _philox_words(master_seed, indices, blocks)
-    draws = np.stack([words & _LO32, words >> _S32], axis=-1).reshape(len(indices), 8 * blocks)
-    scaled = draws[:, :n] * np.uint64(n)
-    tables = (scaled >> _S32).astype(np.int64)
-    redraw = np.flatnonzero(((scaled & _LO32) < np.uint64((1 << 32) % n)).any(axis=1))
+    tables, rejected = _bounded_draws(n, master_seed, indices, 0, n)
+    redraw = np.flatnonzero(rejected)
     if redraw.size:
         tables[redraw] = _keyed_rows(n, master_seed, (start + int(j) for j in redraw))
     return tables
 
 
-def _table_chunks(n: int, master_seed: int, start: int, stop: int):
-    step = max(1, _CHUNK_DRAWS // n)
+def _chunk_ranges(start: int, stop: int, draws_per_trial: int):
+    """Consecutive (lo, hi) trial ranges of about _CHUNK_DRAWS draws each."""
+    step = max(1, _CHUNK_DRAWS // draws_per_trial)
     for lo in range(start, stop, step):
-        yield draw_tables(n, master_seed, lo, min(lo + step, stop))
+        yield lo, min(lo + step, stop)
+
+
+def _table_chunks(n: int, master_seed: int, start: int, stop: int):
+    for lo, hi in _chunk_ranges(start, stop, n):
+        yield draw_tables(n, master_seed, lo, hi)
 
 
 def count_unique_cyclic(n: int, master_seed: int, start: int, stop: int) -> int:

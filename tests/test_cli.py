@@ -272,6 +272,7 @@ def test_python_dash_m_package_runs_the_cli():
         ["heights", "--n", "5", "--trials", "10", "--jobs", "0"],
         ["verify-cayley", "--n", "5", "--trials", "10", "--jobs", "0"],
         ["verify-cayley", "--n", "0", "--trials", "10"],
+        ["heights", "--n", "0", "--trials", "10"],
     ],
 )
 def test_invalid_counts_exit_2_without_traceback(argv):
@@ -283,3 +284,20 @@ def test_invalid_counts_exit_2_without_traceback(argv):
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
+    if argv[argv.index("--n") + 1] == "0":
+        assert out.stderr == "error: n must be >= 1, got 0\n"
+
+
+def test_rejection_attempt_cap_exits_1_with_an_error_line(capsys, monkeypatch):
+    # exit 1 also covers a broken random source: no report on stdout,
+    # one error line on stderr, no traceback
+    import cayleykit.heights as heights_mod
+
+    monkeypatch.setattr(heights_mod, "ATTEMPT_CAP_FACTOR", 1)
+    code, out, err = run_cli(
+        capsys, "heights", "--n", "30", "--trials", "50", "--method", "rejection"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no unique-cyclic mapping accepted in 30 attempts")
+    assert "Traceback" not in err

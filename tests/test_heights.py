@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cayleykit import (
@@ -12,6 +13,15 @@ from cayleykit import (
     sample_height_plus_one,
     sample_rooted_tree_prufer,
     sample_rooted_tree_rejection,
+)
+from cayleykit import heights, montecarlo
+from cayleykit.heights import (
+    _collision_bins,
+    _prufer_heights,
+    _rejection_heights,
+    _sample_collision,
+    _sample_height,
+    tally_law_histograms,
 )
 
 SEED = 52525
@@ -196,3 +206,92 @@ def test_attempt_cap_is_a_loud_failure(monkeypatch):
     monkeypatch.setattr(heights_mod, "ATTEMPT_CAP_FACTOR", 5)
     with pytest.raises(RuntimeError, match="attempts"):
         heights_mod._sample_tree_rejection(DegenerateGen(), 2)
+
+
+def _per_trial_tallies(n, seed, start, stop, method):
+    """The per-trial loop the batched tallies replace: the oracle."""
+    h_counts, c_counts = [0] * n, [0] * n
+    for trial in range(start, stop):
+        gen_h = RngStream(seed, 2 * trial).generator()
+        h_counts[_sample_height(gen_h, n, method).height] += 1
+        gen_c = RngStream(seed, 2 * trial + 1).generator()
+        c_counts[_sample_collision(gen_c, n) - 1] += 1
+    return h_counts, c_counts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 30, 50, 244, 257])
+@pytest.mark.parametrize("method", ["prufer", "rejection"])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+def test_batched_tallies_match_per_trial_samplers(monkeypatch, n, method, seed):
+    # chunks of 4 trials, so every range spans several; the last range
+    # ends at the largest trial whose streams fit in 64 bits
+    per_trial = n * n if method == "rejection" else n + 1
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 4 * per_trial)
+    k = 5 if method == "rejection" and n > 100 else 15
+    for start in (0, 1021, 2**63 - k):
+        got = tally_law_histograms(n, seed, start, start + k, method)
+        assert got == _per_trial_tallies(n, seed, start, start + k, method)
+
+
+def test_integers_calls_hand_out_one_contiguous_stream():
+    # numpy's Philox gives its 32-bit draws contiguously across integers()
+    # calls, a half left over by one call opening the next, and a Lemire
+    # redraw takes the next half; so every heights stream is a prefix of
+    # one bounded-draw row.  Stream 99469 rejects in its first n draws.
+    n, seed = 244, 90125
+    for stream in (99469, 3):
+        def gen():
+            return RngStream(seed, stream).generator()
+
+        g = gen()
+        parts = [g.integers(1, n + 1, size=n - 2), [g.integers(1, n + 1)], [g.integers(1, n + 1)]]
+        parts += [g.integers(1, n + 1, size=n) for _ in range(3)]
+        assert np.array_equal(np.concatenate(parts), gen().integers(1, n + 1, size=4 * n))
+        g = gen()
+        parts = [g.integers(0, n, size=3), [g.integers(0, n)], [g.integers(0, n)], g.integers(0, n, size=2)]
+        assert np.array_equal(np.concatenate(parts), gen().integers(0, n, size=7))
+        draws, rejected = montecarlo._bounded_draws(n, seed, np.array([stream], dtype=np.uint64), 0, n)
+        assert rejected[0] == (stream == 99469)
+        if not rejected[0]:
+            assert np.array_equal(draws[0], gen().integers(0, n, size=n))
+
+
+def test_lemire_rejections_fall_back_to_the_per_trial_samplers():
+    # under seed 90125 at n = 244 (the largest threshold, 240, of any
+    # n <= 256) these trials' streams reject a draw their sample reads:
+    # the Prufer height stream of trial 78854; the rejection-sampler
+    # streams of trials 11 (a rejection in attempt 394, accepted at 982)
+    # and 1063 (attempt 242, accepted at 554: the first segment of n
+    # attempts ends pending, even on the shifted draws); the collision streams of trials 49734 (stream 99469, after
+    # its first repeat) and 3816877 (before it)
+    n, seed = 244, 90125
+
+    def streams(*trials):
+        return np.array(trials, dtype=np.uint64)
+
+    assert _prufer_heights(n, seed, 2 * streams(78853, 78854))[1] == -1
+    assert list(_rejection_heights(n, seed, 2 * streams(10, 11, 1063)))[1:] == [-1, -1]
+    assert list(_collision_bins(n, seed, 2 * streams(49734, 3816877) + 1)) == [-1, -1]
+    for start, stop, method in [
+        (78850, 78858, "prufer"),
+        (9, 13, "rejection"),
+        (1063, 1064, "rejection"),
+        (49730, 49738, "prufer"),
+        (3816875, 3816879, "prufer"),
+    ]:
+        got = tally_law_histograms(n, seed, start, stop, method)
+        assert got == _per_trial_tallies(n, seed, start, stop, method)
+
+
+def test_batched_rejection_tallies_keep_the_attempt_cap(monkeypatch):
+    # a cap of n attempts leaves about a third of the trees unaccepted
+    monkeypatch.setattr(heights, "ATTEMPT_CAP_FACTOR", 1)
+    with pytest.raises(RuntimeError, match="30 attempts at n=30"):
+        tally_law_histograms(30, SEED, 0, 50, "rejection")
+
+
+def test_law_equality_report_validates_n_first():
+    for n in (0, -3):
+        for method in ("prufer", "rejection"):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                law_equality_report(n, 10, SEED, method=method)

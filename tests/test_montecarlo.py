@@ -265,8 +265,15 @@ def test_make_estimate_fields():
     assert est.ci_low <= est.point <= est.ci_high
 
 
+def _histogram_of(samples, lo, hi):
+    counts = [0] * (hi - lo + 1)
+    for s in samples:
+        counts[s - lo] += 1
+    return Histogram(lo, tuple(counts), len(samples))
+
+
 def test_histogram_basics():
-    h = Histogram.from_samples([1, 1, 2, 5], 1, 5)
+    h = _histogram_of([1, 1, 2, 5], 1, 5)
     assert h.counts == (2, 1, 0, 0, 1) and h.total == 4
     assert h.count_of(1) == 2 and h.count_of(7) == 0
     assert list(h.support()) == [1, 2, 3, 4, 5]
