@@ -8,7 +8,8 @@ the Prufer codec.  The table makes the three-way identity visible:
 
 and the unique-cyclic fraction of all n^n mappings is exactly 1/n.
 
-Pass --full to extend the table to n=7 (a few extra seconds).
+Pass --full to extend the table to n=7 (about 0.3 s more; n=8, which
+the table leaves out, takes about 8 s, on a 2-core x86-64 host).
 """
 
 import sys

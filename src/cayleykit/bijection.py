@@ -17,6 +17,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import NO_PARENT, Mapping, RootedTree, cycle_structure, unique_cyclic_vertex
 
 
@@ -245,6 +247,29 @@ def prufer_parents(p: PruferSequence) -> list[int]:
         if degree[x] == 1:
             heapq.heappush(leaves, x)
     parent[heapq.heappop(leaves) - 1] = n
+    return parent
+
+
+def prufer_parent_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """prufer_parents for a batch of words, 0-based: parent rows toward n-1.
+
+    Row j of words holds a word over [0, n) of length max(n-2, 0); row j
+    of the result is its tree's parent array with labels shifted down by
+    one, and -1 in slot n-1.  All words are decoded at once: each step
+    joins every row's smallest leaf, argmax(deg == 1), to the row's
+    next word entry.
+    """
+    r = np.arange(len(words))
+    deg = 1 + np.bincount((words + n * r[:, None]).ravel(), minlength=len(words) * n)
+    deg = deg.reshape(-1, n)
+    parent = np.full((len(words), n), -1)
+    for x in words.T:
+        leaf = (deg == 1).argmax(axis=1)
+        parent[r, leaf] = x
+        deg[r, leaf] = 0
+        deg[r, x] -= 1
+    if n > 1:  # the last edge joins the one leaf left below n-1 to n-1
+        parent[r, (deg == 1).argmax(axis=1)] = n - 1
     return parent
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Mapping, cycle_structure, unique_cyclic_vertex
+from .core import Mapping, cycle_structure
 
 
 class Closure(str, Enum):
@@ -275,14 +275,3 @@ def trace_to_dot(t: ExplorationTrace, *, name: str = "trace") -> str:
         lines.append(f'  {v} -> {w} [label="{reveal_time[(v, w)]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def agrees_with_cycle_analysis(m: Mapping, strategy: SelectionStrategy) -> bool:
-    """Cross-check the trace verdicts against direct cycle analysis."""
-    t = explore(m, strategy)
-    direct_unique = unique_cyclic_vertex(m) is not None
-    direct_cycles = cycle_structure(m).num_cycles
-    return (
-        has_unique_cyclic_from_trace(t) == direct_unique
-        and cycle_count_from_trace(t) == direct_cycles
-    )

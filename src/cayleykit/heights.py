@@ -15,7 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import montecarlo
-from .bijection import PruferSequence, mapping_to_rooted_tree, prufer_parents
+from .bijection import (
+    PruferSequence,
+    mapping_to_rooted_tree,
+    prufer_parent_rows,
+    prufer_parents,
+)
 from .core import Mapping, RootedTree, unique_cyclic_vertex
 from .enumeration import exact_collision_pmf, exact_height_pmf
 from .montecarlo import (
@@ -190,23 +195,14 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
 
     Draws [0, n-2) are the word, draw n-2 the root and draw n-1 the
     vertex.  All words are decoded at once toward vertex n (0-based
-    n-1): each step joins the smallest leaf to the next word entry.
-    The height is dist(root, vertex): the climb from the vertex to the
-    first ancestor of the root, plus that ancestor's distance to the root.
+    n-1) by prufer_parent_rows.  The height is dist(root, vertex): the
+    climb from the vertex to the first ancestor of the root, plus that
+    ancestor's distance to the root.
     """
     rows, rejected = montecarlo._bounded_draws(n, master_seed, streams, 0, n)
     r = np.arange(len(rows))
     word, root, vertex = rows[:, : n - 2], rows[:, n - 2], rows[:, n - 1]
-    deg = 1 + np.bincount((word + n * r[:, None]).ravel(), minlength=len(rows) * n)
-    deg = deg.reshape(-1, n)
-    parent = np.full((len(rows), n), -1)
-    for x in word.T:
-        leaf = (deg == 1).argmax(axis=1)
-        parent[r, leaf] = x
-        deg[r, leaf] = 0
-        deg[r, x] -= 1
-    if n > 1:  # the last edge joins the one leaf left below n to n
-        parent[r, (deg == 1).argmax(axis=1)] = n - 1
+    parent = prufer_parent_rows(word, n)
     up = np.full((len(rows), n), -1)  # up[j, a]: distance from root to its ancestor a
     live, a, d = r, root, 0
     while live.size:
@@ -327,9 +323,11 @@ def _merge_histograms(parts) -> tuple[list[int], list[int]]:
 def _critical_value(df: int, level: float) -> float:
     if df <= 0:
         return 0.0
-    from scipy.stats import chi2  # deferred: scipy.stats dominates import time
+    # scipy.stats' own chi2.ppf; importing scipy.stats would set the
+    # process's peak memory, and scipy dominates import time
+    from scipy.special import gammaincinv
 
-    return float(chi2.ppf(level, df))
+    return float(2 * gammaincinv(df / 2, level))
 
 
 def law_equality_report(

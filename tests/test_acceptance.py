@@ -20,7 +20,6 @@ from cayleykit import (
     SmallestLabel,
     cycle_count_from_trace,
     cycle_structure,
-    enumerate_mappings,
     exact_collision_pmf,
     exact_counts,
     exact_height_pmf,

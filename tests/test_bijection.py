@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from cayleykit import (
     tree_edges,
     unique_cyclic_vertex,
 )
+from cayleykit.bijection import prufer_parent_rows, prufer_parents
 
 from conftest import all_mappings, all_tables
 
@@ -217,3 +219,18 @@ def test_cardinality_chain_trees_vs_rooted():
 def test_tree_edges_helper():
     t = RootedTree(4, 2, (2, 0, 1, 3))
     assert tree_edges(t) == [(1, 2), (1, 3), (3, 4)]
+
+
+def test_prufer_parent_rows_match_the_scalar_decoder():
+    rng = np.random.default_rng(2024)
+    cases = [
+        (n, np.array(list(itertools.product(range(n), repeat=max(n - 2, 0))), dtype=int))
+        for n in range(1, 7)
+    ]
+    cases += [(n, rng.integers(0, n, size=(300, n - 2))) for n in (8, 30)]
+    for n, words in cases:
+        words = words.reshape(len(words), max(n - 2, 0))
+        rows = prufer_parent_rows(words, n)
+        for word, row in zip(words, rows):
+            expected = prufer_parents(PruferSequence(n, tuple(int(x) + 1 for x in word)))
+            assert [int(p) + 1 for p in row] == expected  # NO_PARENT is 0

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -49,6 +50,18 @@ def test_unknown_subcommand_exits_2():
     )
     assert out.returncode == 2
     assert out.stderr
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_matches_golden_bytes(capsys, n):
+    # stdout recorded from the scalar enumeration that the batched one replaced
+    for flags, suffix in (((), "txt"), (("--json",), "json")):
+        code, out, err = run_cli(capsys, "enumerate", "--n", str(n), *flags)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"enumerate_n{n}.{suffix}").read_bytes()
 
 
 def test_enumerate_json_document(capsys):

@@ -1,37 +1,74 @@
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
 from cayleykit import (
     Mapping,
     SmallestLabel,
     cycle_count_from_trace,
-    enumerate_mappings,
+    cycle_structure,
     exact_collision_pmf,
     exact_counts,
     exact_height_pmf,
     explore,
+    mapping_to_rooted_tree,
+    unique_cyclic_vertex,
 )
+from cayleykit.enumeration import _table_stats
+
+from conftest import all_mappings, all_tables
 
 
 def test_enumerate_mappings_visit_counts():
     for n, expected in ((1, 1), (2, 4), (4, 256)):
-        visits = []
-        enumerate_mappings(n, visits.append)
-        assert len(visits) == expected
+        assert sum(1 for _ in all_mappings(n)) == expected
 
 
 def test_enumerate_mappings_lexicographic_order():
-    visits = []
-    enumerate_mappings(2, lambda m: visits.append(m.table))
-    assert visits == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert [m.table for m in all_mappings(2)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_enumerate_mappings_guard():
     with pytest.raises(ValueError, match="8"):
-        enumerate_mappings(9, lambda m: None)
+        all_tables(9)
     with pytest.raises(ValueError):
-        enumerate_mappings(0, lambda m: None)
+        all_tables(0)
+
+
+def _check_table_stats(n, tables):
+    """_table_stats on 1-based tables against the scalar oracles in core."""
+    tables0 = np.array(tables, dtype=np.intp).reshape(len(tables), n) - 1
+    num_cycles, num_cyclic, root, depth = _table_stats(tables0)
+    assert len(depth) == (root >= 0).sum()
+    rooted = iter(depth)
+    for j, table in enumerate(tables):
+        m = Mapping(n, tuple(table))
+        cs = cycle_structure(m)
+        assert num_cycles[j] == cs.num_cycles
+        assert num_cyclic[j] == sum(cs.cyclic)
+        fixed = unique_cyclic_vertex(m)
+        assert root[j] == (-1 if fixed is None else fixed - 1)
+        if fixed is not None:
+            assert next(rooted).tolist() == mapping_to_rooted_tree(m).depths()
+    assert next(rooted, None) is None
+
+
+def test_table_stats_match_scalar_oracles_exhaustively():
+    for n in range(1, 6):
+        _check_table_stats(n, list(all_tables(n)))
+
+
+def test_table_stats_match_scalar_oracles_on_random_tables():
+    rng = np.random.default_rng(77)
+    for n in (7, 8):
+        tables = rng.integers(1, n + 1, size=(3000, n))
+        # plant rooted trees too: about 1 in n random tables has a root
+        trees = rng.integers(1, n + 1, size=(1000, n))
+        trees[:, 0] = 1
+        trees[:, 1:] = np.minimum(trees[:, 1:], np.arange(1, n))
+        _check_table_stats(n, np.vstack([tables, trees]).tolist())
 
 
 def test_exact_counts_small_values():
@@ -44,8 +81,32 @@ def test_exact_counts_small_values():
     assert sum(c.by_cycle_count.values()) == 27
 
 
+def _stirling_cycle_row(j):
+    """Unsigned Stirling numbers of the first kind c(j, k), k = 0..j."""
+    row = [1]
+    for i in range(j):  # c(i+1, k) = i c(i, k) + c(i, k-1)
+        row = [i * a + b for a, b in zip(row + [0], [0] + row)]
+    return row
+
+
+def _mappings_by_cycle_count(n):
+    """#mappings on [n] with k cycles: sum_j C(n,j) j n^(n-j-1) c(j,k).
+
+    C(n,j) picks the cyclic set, c(j,k) its permutation with k cycles,
+    and j n^(n-j-1) counts the rooted forests on the rest hanging from
+    it (1 when j = n).
+    """
+    out = {}
+    for j in range(1, n + 1):
+        forests = j * n ** (n - j - 1) if j < n else 1
+        for k, c in enumerate(_stirling_cycle_row(j)):
+            if c:
+                out[k] = out.get(k, 0) + comb(n, j) * forests * c
+    return out
+
+
 def test_exact_counts_match_closed_forms():
-    for n in range(1, 7):
+    for n in range(1, 9):
         c = exact_counts(n)
         assert c.total_mappings == n**n
         assert c.unique_cyclic == n ** (n - 1)
@@ -53,6 +114,12 @@ def test_exact_counts_match_closed_forms():
         assert c.unique_cyclic == c.labelled_trees * n
         assert sum(c.by_cycle_count.values()) == c.total_mappings
         assert Fraction(c.unique_cyclic, c.total_mappings) == Fraction(1, n)
+        assert c.by_cycle_count == _mappings_by_cycle_count(n)
+        assert all(type(k) is int and type(v) is int and v > 0
+                   for k, v in c.by_cycle_count.items())
+        assert all(type(x) is int for x in
+                   (c.total_mappings, c.unique_cyclic, c.labelled_trees))
+        assert (c.height_pmf is None) == (n > 7)
 
 
 def test_exact_counts_guard():
@@ -67,12 +134,9 @@ def test_by_cycle_count_matches_trace_tallies():
     # strategy; tallying over all mappings must reproduce by_cycle_count
     for n in range(1, 8):
         tally = {}
-
-        def visit(m):
+        for m in all_mappings(n):
             k = cycle_count_from_trace(explore(m, SmallestLabel()))
             tally[k] = tally.get(k, 0) + 1
-
-        enumerate_mappings(n, visit)
         assert tally == exact_counts(n).by_cycle_count
 
 
@@ -83,7 +147,7 @@ def test_exact_height_pmf_examples():
 
 
 def test_exact_height_pmf_normalized_and_guarded():
-    for n in range(1, 7):
+    for n in range(1, 8):
         pmf = exact_height_pmf(n)
         assert len(pmf) == n
         assert sum(pmf) == 1
@@ -129,5 +193,5 @@ def test_exact_collision_pmf_mass_identity_large_n():
 
 
 def test_law_shift_identity_small_n():
-    for n in range(1, 7):
+    for n in range(1, 8):
         assert exact_height_pmf(n) == exact_collision_pmf(n)
