@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import NO_PARENT, Mapping, RootedTree, cycle_structure, unique_cyclic_vertex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,8 @@ def prufer_parent_rows(words: np.ndarray, n: int) -> np.ndarray:
     joins every row's smallest leaf, argmax(deg == 1), to the row's
     next word entry.
     """
+    import numpy as np  # the only numpy user here: the scalar codecs load without it
+
     r = np.arange(len(words))
     deg = 1 + np.bincount((words + n * r[:, None]).ravel(), minlength=len(words) * n)
     deg = deg.reshape(-1, n)

@@ -6,6 +6,8 @@ byte for byte.  Exit status: 0 on success, 2 on input errors, and 1
 in two cases: a statistical verification failed (its report is on
 stdout), or the rejection sampler hit its attempt cap, which means a
 broken random source (an ``error:`` line on stderr, nothing on stdout).
+Each command imports the layers it uses, so the pure-Python ones
+(``trace``, ``prufer``, ``joyal``) start without numpy.
 """
 
 from __future__ import annotations
@@ -14,30 +16,9 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from . import __version__
-from .bijection import (
-    DoublyRootedTree,
-    PruferSequence,
-    joyal_decode,
-    joyal_encode,
-    prufer_decode,
-    prufer_encode,
-)
-from .core import Mapping, mapping_to_dot, tree_to_dot
-from .enumeration import exact_counts
-from .exploration import SeededRandomOrder, SmallestLabel, explore, trace_to_dot
-from .heights import (
-    law_equality_report,
-    sample_rooted_tree_prufer,
-    sample_rooted_tree_rejection,
-)
-from .montecarlo import (
-    RngStream,
-    check_round_conditionals,
-    estimate_unique_cyclic,
-    sample_mapping,
-)
 
 #: Default master seed for randomized subcommands; pinned so that the
 #: documented verification runs are reproducible out of the box.
@@ -69,7 +50,23 @@ def _emit_json(args, doc: dict) -> None:
     _emit(args, json.dumps(doc, indent=2) + "\n")
 
 
+def _require_counts(args, *names: str) -> None:
+    """Reject a count below 1 before the numeric layers are imported,
+    checking names in the order the library would check them."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one plain line: no source path or line number on stderr
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cmd_sample_function(args) -> int:
+    from .core import mapping_to_dot
+    from .montecarlo import RngStream, sample_mapping
     m = sample_mapping(args.n, RngStream(args.seed, args.stream))
     if args.dot:
         _emit(args, mapping_to_dot(m))
@@ -82,6 +79,8 @@ def cmd_sample_function(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .core import Mapping
+    from .exploration import SeededRandomOrder, SmallestLabel, explore, trace_to_dot
     m = Mapping.from_json_dict(_read_json(args.input))
     strategy = SmallestLabel() if args.order_seed is None else SeededRandomOrder(args.order_seed)
     t = explore(m, strategy)
@@ -93,6 +92,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify_cayley(args) -> int:
+    _require_counts(args, "n", "trials", "jobs")
+    from .montecarlo import estimate_unique_cyclic
     est = estimate_unique_cyclic(
         args.n, args.trials, args.seed, z=args.z, jobs=args.jobs
     )
@@ -124,6 +125,8 @@ def cmd_verify_cayley(args) -> int:
 
 
 def cmd_check_conditionals(args) -> int:
+    _require_counts(args, "trials", "jobs")  # draw_tables checks n, in its own words
+    from .montecarlo import check_round_conditionals
     report = check_round_conditionals(args.n, args.trials, args.seed, jobs=args.jobs)
     flagged = report.flagged_bins(args.min_obs)
     passed = not flagged
@@ -153,6 +156,7 @@ def cmd_check_conditionals(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import exact_counts
     counts = exact_counts(args.n)
     if args.json:
         _emit_json(args, counts.to_json_dict())
@@ -178,6 +182,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sample_tree(args) -> int:
+    from .core import tree_to_dot
+    from .heights import sample_rooted_tree_prufer, sample_rooted_tree_rejection
+    from .montecarlo import RngStream
     stream = RngStream(args.seed, args.stream)
     attempts = None
     if args.method == "rejection":
@@ -200,6 +207,8 @@ def cmd_sample_tree(args) -> int:
 def cmd_heights(args) -> int:
     if args.exact and args.n > 6:
         raise ValueError("--exact requires n <= 6 (full enumeration)")
+    _require_counts(args, "n", "trials", "jobs")
+    from .heights import law_equality_report
     report = law_equality_report(
         args.n, args.trials, args.seed, method=args.method, jobs=args.jobs
     )
@@ -208,6 +217,7 @@ def cmd_heights(args) -> int:
 
 
 def cmd_prufer(args) -> int:
+    from .bijection import PruferSequence, prufer_decode, prufer_encode
     doc = _read_json(args.input)
     if args.direction == "encode":
         try:
@@ -225,6 +235,8 @@ def cmd_prufer(args) -> int:
 
 
 def cmd_joyal(args) -> int:
+    from .bijection import DoublyRootedTree, joyal_decode, joyal_encode
+    from .core import Mapping
     doc = _read_json(args.input)
     if args.direction == "encode":
         m = Mapping.from_json_dict(doc)
@@ -337,7 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

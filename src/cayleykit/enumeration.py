@@ -46,9 +46,16 @@ class ExactCounts:
         return d
 
 
-def _all_words(n: int, length: int) -> np.ndarray:
-    """Every word of the given length over [0, n), one per row, lexicographic."""
-    return np.indices((n,) * length).reshape(length, n**length).T
+def _word_chunks(n: int, length: int, suffix: int):
+    """Every word of the given length over [0, n), lexicographic, one chunk
+    per prefix before the last `suffix` entries.  The one array is reused:
+    a chunk is valid until the next is drawn."""
+    k = min(length, suffix)
+    words = np.empty((n**k, length), dtype=np.intp)
+    words[:, length - k :] = np.indices((n,) * k).reshape(k, n**k).T
+    for prefix in itertools.product(range(n), repeat=length - k):
+        words[:, : length - k] = prefix
+        yield words
 
 
 def _table_stats(tables: np.ndarray, depths: bool = True):
@@ -99,13 +106,13 @@ _SUFFIX_COLUMNS = 4
 def exact_counts(n: int) -> ExactCounts:
     """Exhaustively tally all n^n mappings.
 
-    The tables are visited in lexicographic chunks: a block of every
-    suffix of the last _SUFFIX_COLUMNS entries is built once, and each
-    chunk fills in one prefix; _table_stats classifies a chunk at once.
-    unique_cyclic counts mappings whose cyclic set is a single vertex;
-    labelled_trees decodes every Prufer word in [n]^(n-2) and counts
-    distinct parent arrays, a route that never looks at cycles, so the
-    two counts check each other through the factor-of-n relation.
+    The tables are visited in lexicographic chunks of every suffix of
+    the last _SUFFIX_COLUMNS entries; _table_stats classifies a chunk
+    at once.  unique_cyclic counts mappings whose cyclic set is a single
+    vertex; labelled_trees decodes every Prufer word in [n]^(n-2), one
+    chunk per leading entry, and counts distinct parent arrays over all
+    chunks, a route that never looks at cycles, so the two counts check
+    each other through the factor-of-n relation.
     height_pmf (n <= 7 only) is the exact law of the height of a
     uniform vertex in a uniform rooted tree, tallied over every
     (rooted tree, vertex) pair.  n = 7 takes about 0.3 s and n = 8
@@ -114,14 +121,10 @@ def exact_counts(n: int) -> ExactCounts:
     if not 1 <= n <= MAX_COUNT_N:
         raise ValueError(f"n={n} outside enumeration guard [1..{MAX_COUNT_N}]")
     want_heights = n <= MAX_HEIGHT_N
-    k = min(n, _SUFFIX_COLUMNS)
-    tables = np.empty((n**k, n), dtype=np.intp)
-    tables[:, n - k :] = _all_words(n, k)
     cycle_tally = np.zeros(n + 1, dtype=np.int64)
     height_tally = np.zeros(n, dtype=np.int64)
     total = unique_cyclic = 0
-    for prefix in itertools.product(range(n), repeat=n - k):
-        tables[:, : n - k] = prefix
+    for tables in _word_chunks(n, n, _SUFFIX_COLUMNS):
         num_cycles, _, root, depth = _table_stats(tables, want_heights)
         total += len(tables)
         unique_cyclic += int((root >= 0).sum())
@@ -132,13 +135,17 @@ def exact_counts(n: int) -> ExactCounts:
     if want_heights:
         pairs = unique_cyclic * n  # (rooted tree, vertex) pairs
         height_pmf = tuple(Fraction(int(c), pairs) for c in height_tally)
-    parents = prufer_parent_rows(_all_words(n, max(n - 2, 0)), n)
-    codes = parents[:, : n - 1] @ n ** np.arange(n - 1)  # slot n-1 is always -1
+    # one chunk of words per leading entry bounds the decoder's memory;
+    # slot n-1 of a parent row is always -1
+    codes = [
+        np.unique(prufer_parent_rows(words, n)[:, : n - 1] @ n ** np.arange(n - 1))
+        for words in _word_chunks(n, max(n - 2, 0), max(n - 3, 0))
+    ]
     return ExactCounts(
         n=n,
         total_mappings=total,
         unique_cyclic=unique_cyclic,
-        labelled_trees=len(np.unique(codes)),
+        labelled_trees=len(np.unique(np.concatenate(codes))),
         by_cycle_count={cycles: int(c) for cycles, c in enumerate(cycle_tally) if c},
         height_pmf=height_pmf,
     )

@@ -17,6 +17,7 @@ the rounds split up.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -235,10 +236,7 @@ def telescoping_probability(T: Sequence[int]) -> Fraction:
         raise ValueError("T must be non-empty")
     if T[0] < 1 or any(b <= a for a, b in zip(T, T[1:])):
         raise ValueError("T must be positive and strictly increasing")
-    prob = Fraction(1, T[0])
-    for prev, cur in zip(T, T[1:]):
-        prob *= Fraction(prev, cur)
-    return prob
+    return math.prod(conditional_event_probabilities(T))
 
 
 def conditional_event_probabilities(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping as MappingABC
@@ -292,7 +291,8 @@ def _chunk_ranges(start: int, stop: int, draws_per_trial: int):
 
 
 def _table_chunks(n: int, master_seed: int, start: int, stop: int):
-    for lo, hi in _chunk_ranges(start, stop, n):
+    # max: an n below 1 must reach draw_tables' check, not divide by zero
+    for lo, hi in _chunk_ranges(start, stop, max(n, 1)):
         yield draw_tables(n, master_seed, lo, hi)
 
 
@@ -322,6 +322,8 @@ def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, merge, 
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or trials < 2 * jobs:
         return worker(n, master_seed, 0, trials, *extra)
+    from concurrent.futures import ProcessPoolExecutor
+
     step = -(-trials // jobs)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [

@@ -1,3 +1,4 @@
+import io
 import json
 import pathlib
 import subprocess
@@ -12,6 +13,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_stdin(capsys, argv, stdin):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        return run_cli(capsys, *argv)
+    finally:
+        sys.stdin = saved
 
 
 def test_version_and_help_via_subprocess():
@@ -314,3 +324,94 @@ def test_rejection_attempt_cap_exits_1_with_an_error_line(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: no unique-cyclic mapping accepted in 30 attempts")
     assert "Traceback" not in err
+
+
+def test_check_conditionals_n_below_1_exits_2():
+    # n = 0 used to divide by zero in the chunking before draw_tables' check
+    out = subprocess.run(
+        [sys.executable, "-m", "cayleykit", "check-conditionals", "--n", "0", "--trials", "10"],
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stderr) == (2, "error: n must be in [1, 2**32), got 0\n")
+
+
+# Runs main on each (argv, stdin) in a fresh interpreter and reports
+# whether numpy was imported by the end.
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+from cayleykit.cli import main
+results = []
+for argv, stdin in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"numpy": "numpy" in sys.modules, "results": results}))
+"""
+
+
+def run_fresh(calls):
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, json.dumps(calls)], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    return doc["numpy"], [tuple(r) for r in doc["results"]]
+
+
+def test_pure_python_commands_start_without_numpy(capsys):
+    mapping = json.dumps({"n": 7, "table": [2, 3, 1, 5, 5, 4, 1]})
+    calls = [
+        (["trace"], mapping),
+        (["trace", "--dot", "--order-seed", "5"], mapping),
+        (["prufer", "encode"], json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [2, 4], [4, 5]]})),
+        (["prufer", "decode"], json.dumps({"n": 5, "seq": [2, 2, 4]})),
+        (["joyal", "encode"], mapping),
+        (["joyal", "decode"], json.dumps({"n": 3, "head": 2, "tail": 1, "parent": [0, 1, 2]})),
+        (["--version"], ""),
+    ]
+    numpy_loaded, results = run_fresh(calls)
+    assert not numpy_loaded
+    for (argv, stdin), result in zip(calls[:-1], results):
+        assert result == run_stdin(capsys, argv, stdin)
+        assert result[0] == 0
+    assert results[-1][:2] == (0, "cayleykit 0.3.0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the first bad count in the order the library checks them
+        ("verify-cayley --n 0 --trials 0 --jobs 0", "n must be >= 1, got 0"),
+        ("verify-cayley --n 5 --trials -1 --jobs 0 --seed -1", "trials must be >= 1, got -1"),
+        ("verify-cayley --n 5 --trials 10 --jobs 0 --z 0", "jobs must be >= 1, got 0"),
+        ("check-conditionals --n 0 --trials 0 --jobs 0", "trials must be >= 1, got 0"),
+        ("check-conditionals --n -1 --trials 10 --jobs -1", "jobs must be >= 1, got -1"),
+        ("heights --n -1 --trials 0 --jobs 0", "n must be >= 1, got -1"),
+        ("heights --n 5 --trials 0 --jobs 0", "trials must be >= 1, got 0"),
+        ("heights --n 5 --trials 10 --jobs 0", "jobs must be >= 1, got 0"),
+        ("heights --n 9 --trials 0 --exact", "--exact requires n <= 6 (full enumeration)"),
+    ],
+)
+def test_invalid_counts_are_rejected_before_numpy_loads(argv, message):
+    numpy_loaded, [(code, out, err)] = run_fresh([(argv.split(), "")])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not numpy_loaded
+
+
+def test_cli_warnings_are_plain_lines():
+    # the library warns; the CLI prints the message without a source location
+    out = subprocess.run(
+        [sys.executable, "-m", "cayleykit", "heights", "--n", "1", "--trials", "500", "--seed", "7"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["passed"] is True
+    assert out.stderr == "warning: all probability mass merged into one bin; df=0\n" * 2
+    assert ".py:" not in out.stderr

@@ -1,0 +1,62 @@
+"""The package's lazy import surface: names resolve on first access."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import cayleykit
+
+# the public names of 0.3.0, when the package imported every module eagerly
+PUBLIC_NAMES = [
+    "Closure", "CycleStructure", "DoublyRootedTree", "Estimate", "ExactCounts",
+    "ExplorationTrace", "FixedOrder", "HeightSample", "Histogram", "LawEqualityReport",
+    "Mapping", "NO_PARENT", "PruferSequence", "RngStream", "RootedTree", "RoundRecord",
+    "SeededRandomOrder", "SelectionStrategy", "SmallestLabel", "__version__",
+    "check_round_conditionals", "chi_square_statistic", "conditional_event_probabilities",
+    "cycle_count_from_trace", "cycle_structure", "estimate_unique_cyclic",
+    "exact_collision_pmf", "exact_counts", "exact_height_pmf", "explore",
+    "has_unique_cyclic_from_trace", "iterate", "joyal_decode", "joyal_encode",
+    "law_equality_report", "make_estimate", "mapping_to_dot", "mapping_to_rooted_tree",
+    "prufer_decode", "prufer_encode", "reconstruct_mapping", "rooted_tree_to_mapping",
+    "sample_collision_count", "sample_height_plus_one", "sample_mapping",
+    "sample_rooted_tree_prufer", "sample_rooted_tree_rejection", "telescoping_probability",
+    "trace_to_dot", "tree_edges", "tree_to_dot", "two_sample_chi_square",
+    "unique_cyclic_vertex", "wilson_interval",
+]
+
+LAYERS = ("core", "exploration", "bijection", "enumeration", "montecarlo", "heights")
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    code = (
+        "import sys, cayleykit; "
+        "print(sorted(m for m in sys.modules if m.startswith(('cayleykit.', 'numpy'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_public_names_unchanged_and_resolve():
+    assert sorted(cayleykit.__all__) == PUBLIC_NAMES
+    for name in cayleykit.__all__:
+        assert getattr(cayleykit, name) is not None
+
+
+def test_star_import_binds_the_home_modules_objects():
+    namespace = {}
+    exec("from cayleykit import *", namespace)
+    homes = [importlib.import_module(f"cayleykit.{layer}") for layer in LAYERS]
+    for name in PUBLIC_NAMES:
+        if name == "__version__":
+            assert namespace[name] == "0.3.0"
+            continue
+        assert any(vars(home).get(name) is namespace[name] for home in homes), name
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cayleykit.no_such_name
+    assert not hasattr(cayleykit, "cli_main")
