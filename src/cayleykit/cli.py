@@ -125,7 +125,7 @@ def cmd_verify_cayley(args) -> int:
 
 
 def cmd_check_conditionals(args) -> int:
-    _require_counts(args, "trials", "jobs")  # draw_tables checks n, in its own words
+    _require_counts(args, "trials", "jobs", "n")
     from .montecarlo import check_round_conditionals
     report = check_round_conditionals(args.n, args.trials, args.seed, jobs=args.jobs)
     flagged = report.flagged_bins(args.min_obs)

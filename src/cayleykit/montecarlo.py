@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping as MappingABC
 
 import numpy as np
 
 from .core import Mapping
-from .exploration import Closure, SmallestLabel, explore
 
 _U64 = 1 << 64
 
@@ -59,14 +58,7 @@ class Estimate:
     z: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "point": self.point,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "z": self.z,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -400,29 +392,51 @@ class ConditionalReport:
         }
 
 
+def _round_event_tallies(tables: np.ndarray, tallies: dict) -> dict:
+    """Add the rounds of smallest-label exploration of 0-based tables to tallies.
+
+    All rows reveal one new vertex per step, so they explore in lockstep.
+    Round i ends at step T_i, on an explored vertex: a success in round 1
+    on a self loop, later on a vertex of an earlier round.  The next round
+    starts at the smallest unexplored label.  Rounds are counted by code,
+    (i, T_{i-1}, T_i) in base n + 1 and a success bit, int64 for n < 2**20.
+    """
+    rows, n = tables.shape
+    base = np.arange(rows) * n
+    f = tables.ravel()
+    step_of = np.zeros(rows * n, dtype=np.min_scalar_type(n))  # 0: unexplored
+    seen = np.empty((n, rows), dtype=step_of.dtype)  # step_of[f(v)], by step
+    v = base.copy()
+    for s in range(1, n + 1):
+        step_of[v] = s
+        w = f[v] + base  # flat index of f(v); v[r] is in row r
+        seen[s - 1] = step_of[w]
+        e = np.flatnonzero(seen[s - 1])
+        v = w
+        v[e] = base[e] + (step_of.reshape(rows, n)[e] == 0).argmax(axis=1)
+    ended = seen != 0
+    ends = np.where(ended, np.arange(1, n + 1, dtype=seen.dtype)[:, None], 0)
+    t_prev = np.maximum.accumulate(np.pad(ends[:-1], ((1, 0), (0, 0))), axis=0)
+    i = np.cumsum(ended, axis=0, dtype=seen.dtype) - ended + 1  # the round at each step
+    success = np.where(i == 1, seen == ends, seen <= t_prev)
+    i = i[ended].astype(np.int64)  # wide enough for the codes
+    codes = ((i * (n + 1) + t_prev[ended]) * (n + 1) + ends[ended]) * 2 + success[ended]
+    keys, counts = np.unique(codes, return_counts=True)
+    for code, count in zip(keys.tolist(), counts.tolist()):
+        rest, t = divmod(code >> 1, n + 1)
+        key = divmod(rest, n + 1) + (t,)
+        obs, succ = tallies.get(key, (0, 0))
+        tallies[key] = (obs + count, succ + (code & 1) * count)
+    return tallies
+
+
 def tally_round_events(
     n: int, master_seed: int, start: int, stop: int
 ) -> dict[tuple[int, int, int], tuple[int, int]]:
     """Raw (observations, successes) tallies keyed by (i, T_{i-1}, T_i)."""
     tallies: dict[tuple[int, int, int], tuple[int, int]] = {}
-    strategy = SmallestLabel()
-    rows = (
-        row
-        for tables in _table_chunks(n, master_seed, start, stop)
-        for row in (tables + 1).tolist()
-    )
-    for row in rows:
-        trace = explore(Mapping(n, tuple(row)), strategy)
-        t_prev = 0
-        for r, t_cur in zip(trace.rounds, trace.T):
-            if r.index == 1:
-                success = r.closure is Closure.SELF_LOOP
-            else:
-                success = r.closure is Closure.PRIOR_ROUND
-            key = (r.index, t_prev, t_cur)
-            obs, succ = tallies.get(key, (0, 0))
-            tallies[key] = (obs + 1, succ + int(success))
-            t_prev = t_cur
+    for tables in _table_chunks(n, master_seed, start, stop):
+        _round_event_tallies(tables, tallies)
     return tallies
 
 
@@ -443,15 +457,15 @@ def check_round_conditionals(
     se_threshold: float = 4.0,
     jobs: int = 1,
 ) -> ConditionalReport:
-    """Test the per-round closure predictions against sampled traces.
+    """Test the per-round closure predictions against sampled explorations.
 
-    For each trial a uniform mapping is explored (smallest-label starts)
-    and every round's closure outcome lands in the bin of its observed
-    (i, T_{i-1}, T_i).  Round 1 succeeds on a self loop, predicted at
-    1/T_1; later rounds succeed on attaching to earlier rounds,
-    predicted at T_{i-1}/T_i.  A bin is flagged when its empirical
-    frequency sits more than se_threshold binomial standard errors from
-    the prediction.
+    For each trial a uniform mapping is explored (smallest-label starts;
+    the trials of a chunk in lockstep) and every round's closure outcome
+    lands in the bin of its observed (i, T_{i-1}, T_i).  Round 1
+    succeeds on a self loop, predicted at 1/T_1; later rounds succeed on
+    attaching to earlier rounds, predicted at T_{i-1}/T_i.  A bin is
+    flagged when its empirical frequency sits more than se_threshold
+    binomial standard errors from the prediction.
     """
     tallies = run_trials(tally_round_events, n, master_seed, trials, jobs, _merge_tallies)
     bins = []

@@ -74,6 +74,20 @@ def test_enumerate_matches_golden_bytes(capsys, n):
         assert out.encode() == (GOLDEN / f"enumerate_n{n}.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "n, trials, seed",
+    [(1, 300, 11), (2, 500, 12), (7, 2000, 13), (20, 2000, 14), (100, 1000, 15), (257, 300, 16)],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_conditionals_matches_golden_bytes(capsys, n, trials, seed, jobs):
+    # stdout recorded from the per-trial explore path that the lockstep kernel replaced
+    argv = ["check-conditionals", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
+    for flags, suffix in (((), "txt"), (("--json",), "json")):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs, *flags)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"check_conditionals_n{n}.{suffix}").read_bytes()
+
+
 def test_enumerate_json_document(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--json")
     assert code == 0
@@ -296,6 +310,7 @@ def test_python_dash_m_package_runs_the_cli():
         ["verify-cayley", "--n", "5", "--trials", "10", "--jobs", "0"],
         ["verify-cayley", "--n", "0", "--trials", "10"],
         ["heights", "--n", "0", "--trials", "10"],
+        ["check-conditionals", "--n", "0", "--trials", "10"],
     ],
 )
 def test_invalid_counts_exit_2_without_traceback(argv):
@@ -327,13 +342,14 @@ def test_rejection_attempt_cap_exits_1_with_an_error_line(capsys, monkeypatch):
 
 
 def test_check_conditionals_n_below_1_exits_2():
-    # n = 0 used to divide by zero in the chunking before draw_tables' check
+    # n = 0 used to divide by zero in the chunking before draw_tables' check;
+    # the CLI now names a bad n in the words every other command uses
     out = subprocess.run(
         [sys.executable, "-m", "cayleykit", "check-conditionals", "--n", "0", "--trials", "10"],
         capture_output=True,
         text=True,
     )
-    assert (out.returncode, out.stderr) == (2, "error: n must be in [1, 2**32), got 0\n")
+    assert (out.returncode, out.stderr) == (2, "error: n must be >= 1, got 0\n")
 
 
 # Runs main on each (argv, stdin) in a fresh interpreter and reports
@@ -392,6 +408,7 @@ def test_pure_python_commands_start_without_numpy(capsys):
         ("verify-cayley --n 5 --trials 10 --jobs 0 --z 0", "jobs must be >= 1, got 0"),
         ("check-conditionals --n 0 --trials 0 --jobs 0", "trials must be >= 1, got 0"),
         ("check-conditionals --n -1 --trials 10 --jobs -1", "jobs must be >= 1, got -1"),
+        ("check-conditionals --n 0 --trials 10", "n must be >= 1, got 0"),
         ("heights --n -1 --trials 0 --jobs 0", "n must be >= 1, got -1"),
         ("heights --n 5 --trials 0 --jobs 0", "trials must be >= 1, got 0"),
         ("heights --n 5 --trials 10 --jobs 0", "jobs must be >= 1, got 0"),

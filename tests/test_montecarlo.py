@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -200,6 +201,71 @@ def test_tally_round_events_matches_per_trial_path():
             expected[(r.index, t_prev, t_cur)] = (obs + 1, succ + (r.closure is closed))
             t_prev = t_cur
     assert tally_round_events(n, SEED, start, stop) == expected
+
+
+def _explore_tallies(tables):
+    """Round-event tallies of 0-based tables, one scalar explore per table."""
+    tallies = {}
+    for row in np.asarray(tables).tolist():
+        trace = explore(Mapping(len(row), tuple(x + 1 for x in row)), SmallestLabel())
+        t_prev = 0
+        for r, t_cur in zip(trace.rounds, trace.T):
+            closed = Closure.SELF_LOOP if r.index == 1 else Closure.PRIOR_ROUND
+            obs, succ = tallies.get((r.index, t_prev, t_cur), (0, 0))
+            tallies[(r.index, t_prev, t_cur)] = (obs + 1, succ + (r.closure is closed))
+            t_prev = t_cur
+    return tallies
+
+
+def _kernel_tallies(tables):
+    return montecarlo._round_event_tallies(np.asarray(tables, dtype=np.int64), {})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_round_event_kernel_matches_explore_on_every_table(n):
+    tables = np.array(list(itertools.product(range(n), repeat=n)))
+    assert _kernel_tallies(tables) == _explore_tallies(tables)
+    # batches of uneven sizes fold into one dict
+    tallies = {}
+    for lo in range(0, len(tables), 7):
+        montecarlo._round_event_tallies(tables[lo : lo + 7], tallies)
+    assert tallies == _explore_tallies(tables)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 255, 256])
+def test_round_event_kernel_on_planted_tables(n):
+    identity = list(range(n))
+    constant = [n - 1] * n
+    cycle = [(v + 1) % n for v in range(n)]
+    reverse = identity[::-1]
+    planted = [identity, constant, cycle, reverse]
+    # each row alone, and all in one lockstep batch
+    for row in planted:
+        assert _kernel_tallies([row]) == _explore_tallies([row])
+    assert _kernel_tallies(planted) == _explore_tallies(planted)
+    # identity: n rounds of one vertex each, round 1 a success, later ones not
+    expected = {(i, i - 1, i): (1, int(i == 1)) for i in range(1, n + 1)}
+    assert _kernel_tallies([identity]) == expected
+    # an n-cycle is one round that closes on its start
+    assert _kernel_tallies([cycle]) == {(1, 0, n): (1, int(n == 1))}
+
+
+@pytest.mark.parametrize(
+    "n, start, stop",
+    [
+        (2, 0, 3000),
+        (7, 2**63 - 150, 2**63 + 150),  # stream indices at and above 2**63
+        (7, 2**64 - 200, 2**64),
+        (20, 3000, 3600),  # crosses the chunk boundary at 65536 // 20 = 3276
+        (100, 600, 720),  # crosses 655
+        (257, 200, 300),  # re-keyed draws, crosses 255
+    ],
+)
+def test_round_event_kernel_matches_explore_on_random_ranges(n, start, stop):
+    tables = [
+        RngStream(SEED, i).generator().integers(0, n, size=n) for i in range(start, stop)
+    ]
+    assert tally_round_events(n, SEED, start, stop) == _explore_tallies(tables)
 
 
 def test_estimate_unique_cyclic_trivial_n1():
