@@ -16,10 +16,12 @@ _HOMES = {
         "NO_PARENT",
         "CycleStructure",
         "Mapping",
+        "RngStream",
         "RootedTree",
         "cycle_structure",
         "iterate",
         "mapping_to_dot",
+        "sample_mapping",
         "tree_to_dot",
         "unique_cyclic_vertex",
     ),
@@ -59,12 +61,10 @@ _HOMES = {
     "montecarlo": (
         "Estimate",
         "Histogram",
-        "RngStream",
         "check_round_conditionals",
         "chi_square_statistic",
         "estimate_unique_cyclic",
         "make_estimate",
-        "sample_mapping",
         "two_sample_chi_square",
         "wilson_interval",
     ),

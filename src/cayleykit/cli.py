@@ -6,8 +6,9 @@ byte for byte.  Exit status: 0 on success, 2 on input errors, and 1
 in two cases: a statistical verification failed (its report is on
 stdout), or the rejection sampler hit its attempt cap, which means a
 broken random source (an ``error:`` line on stderr, nothing on stdout).
-Each command imports the layers it uses, so the pure-Python ones
-(``trace``, ``prufer``, ``joyal``) start without numpy.
+Each command imports the layers it uses, so ``trace``, ``prufer``,
+``joyal``, ``sample-function`` and ``sample-tree`` start without numpy
+(the samplers load it only for a stream longer than 2**16 draws).
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def cmd_sample_function(args) -> int:
-    from .core import mapping_to_dot
-    from .montecarlo import RngStream, sample_mapping
+    from .core import RngStream, mapping_to_dot, sample_mapping
     m = sample_mapping(args.n, RngStream(args.seed, args.stream))
     if args.dot:
         _emit(args, mapping_to_dot(m))
@@ -182,9 +182,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sample_tree(args) -> int:
-    from .core import tree_to_dot
+    from .core import RngStream, tree_to_dot
     from .heights import sample_rooted_tree_prufer, sample_rooted_tree_rejection
-    from .montecarlo import RngStream
     stream = RngStream(args.seed, args.stream)
     attempts = None
     if args.method == "rejection":
@@ -352,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.func(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: an n too large to draw
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -5,31 +5,28 @@ Write H for the height of a uniform vertex in a uniform rooted tree on
 draws on [n] seen before the first repeated value.  This module ships
 two independent uniform tree samplers (rejection over random mappings,
 and Prufer-sequence decoding), a collision-count sampler, and a report
-that confronts the sampled laws with the exact one.
+that confronts the sampled laws with the exact one.  Only the batched
+tallies and the report load numpy, where they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import montecarlo
 from .bijection import (
     PruferSequence,
     mapping_to_rooted_tree,
     prufer_parent_rows,
     prufer_parents,
 )
-from .core import Mapping, RootedTree, unique_cyclic_vertex
-from .enumeration import exact_collision_pmf, exact_height_pmf
-from .montecarlo import (
-    Histogram,
-    RngStream,
-    chi_square_statistic,
-    run_trials,
-    two_sample_chi_square,
-)
+from .core import Mapping, RngStream, RootedTree, unique_cyclic_vertex
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import _Draws
+    from .montecarlo import Histogram
 
 #: Hard cap on rejection attempts; a healthy sampler at size n succeeds
 #: after n attempts on average, so hitting this means the RNG is broken.
@@ -52,7 +49,7 @@ def _attempt_cap_error(n: int) -> RuntimeError:
     )
 
 
-def _sample_tree_rejection(gen: np.random.Generator, n: int) -> tuple[RootedTree, int]:
+def _sample_tree_rejection(gen: _Draws | np.random.Generator, n: int) -> tuple[RootedTree, int]:
     for attempt in range(1, ATTEMPT_CAP_FACTOR * n + 1):
         table = tuple(int(x) for x in gen.integers(1, n + 1, size=n))
         m = Mapping(n, table)
@@ -61,7 +58,7 @@ def _sample_tree_rejection(gen: np.random.Generator, n: int) -> tuple[RootedTree
     raise _attempt_cap_error(n)
 
 
-def _sample_tree_prufer(gen: np.random.Generator, n: int) -> RootedTree:
+def _sample_tree_prufer(gen: _Draws | np.random.Generator, n: int) -> RootedTree:
     if n == 1:
         return RootedTree(1, 1, (0,))
     seq = tuple(int(x) for x in gen.integers(1, n + 1, size=n - 2))
@@ -84,7 +81,7 @@ def sample_rooted_tree_rejection(n: int, stream: RngStream) -> tuple[RootedTree,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _sample_tree_rejection(stream.generator(), n)
+    return _sample_tree_rejection(stream.draws(), n)
 
 
 def sample_rooted_tree_prufer(n: int, stream: RngStream) -> RootedTree:
@@ -96,10 +93,10 @@ def sample_rooted_tree_prufer(n: int, stream: RngStream) -> RootedTree:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _sample_tree_prufer(stream.generator(), n)
+    return _sample_tree_prufer(stream.draws(), n)
 
 
-def _sample_height(gen: np.random.Generator, n: int, method: str) -> HeightSample:
+def _sample_height(gen: _Draws | np.random.Generator, n: int, method: str) -> HeightSample:
     if method == "rejection":
         tree, attempts = _sample_tree_rejection(gen, n)
     elif method == "prufer":
@@ -115,10 +112,10 @@ def sample_height_plus_one(n: int, stream: RngStream, method: str = "rejection")
     """Sample 1 + (height of a uniform vertex in a uniform rooted tree)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return 1 + _sample_height(stream.generator(), n, method).height
+    return 1 + _sample_height(stream.draws(), n, method).height
 
 
-def _sample_collision(gen: np.random.Generator, n: int) -> int:
+def _sample_collision(gen: _Draws | np.random.Generator, n: int) -> int:
     # n+1 draws always suffice: by then some value must have repeated
     ys = gen.integers(1, n + 1, size=n + 1)
     seen = set()
@@ -139,7 +136,7 @@ def sample_collision_count(n: int, stream: RngStream) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _sample_collision(stream.generator(), n)
+    return _sample_collision(stream.draws(), n)
 
 
 @dataclass(frozen=True)
@@ -199,6 +196,9 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     climb from the vertex to the first ancestor of the root, plus that
     ancestor's distance to the root.
     """
+    import numpy as np
+    from . import montecarlo
+
     rows, rejected = montecarlo._bounded_draws(n, master_seed, streams, 0, n)
     r = np.arange(len(rows))
     word, root, vertex = rows[:, : n - 2], rows[:, n - 2], rows[:, n - 1]
@@ -226,6 +226,9 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
     streams still pending, about n per stream of the chunk in all; the
     height is the number of f-steps from the vertex to the fixed point.
     """
+    import numpy as np
+    from . import montecarlo
+
     cap = ATTEMPT_CAP_FACTOR * n
     heights = np.full(len(streams), -1)
     pending = np.arange(len(streams))
@@ -259,6 +262,9 @@ def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     Sweeps the n + 1 draws column by column until every row has drawn
     a value it has seen; the count is the index of that draw.
     """
+    import numpy as np
+    from . import montecarlo
+
     rows, rejected = montecarlo._bounded_draws(n, master_seed, streams, 0, n + 1)
     r = np.arange(len(rows))
     seen = np.zeros((len(rows), n), dtype=bool)
@@ -290,6 +296,9 @@ def tally_law_histograms(
     the per-trial sampler on a re-keyed generator.  (The kernels' cost
     per trial grows faster in n: the Prufer decode is O(n^2) per tree.)
     """
+    import numpy as np
+    from . import montecarlo
+
     if stop > start:
         RngStream(master_seed, 2 * stop - 1)  # validates the seed and the last stream
     samplers = (
@@ -347,6 +356,9 @@ def law_equality_report(
     shifted height pmf and the collision pmf.  All tests use the given
     level's chi-square critical values.
     """
+    from .enumeration import exact_collision_pmf, exact_height_pmf
+    from .montecarlo import Histogram, chi_square_statistic, run_trials, two_sample_chi_square
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if method not in _HEIGHT_KERNELS:

@@ -17,33 +17,9 @@ from typing import Iterable, Mapping as MappingABC
 
 import numpy as np
 
-from .core import Mapping
-
-_U64 = 1 << 64
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """One independent random stream, (master_seed, stream_index).
-
-    Distinct indices under the same master seed give statistically
-    independent Philox streams; the pair fully determines the bits.
-    """
-
-    master_seed: int
-    stream_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.master_seed < _U64:
-            raise ValueError(f"master_seed must be a 64-bit integer, got {self.master_seed}")
-        if not 0 <= self.stream_index < _U64:
-            raise ValueError(f"stream_index must fit in 64 bits, got {self.stream_index}")
-
-    def generator(self) -> np.random.Generator:
-        # an exact uint64 key: a plain list of ints at or above 2**63
-        # would pass through float64 and merge neighbouring streams
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+from . import core
+from .core import _PHILOX_W, _U64
+from .core import RngStream, sample_mapping  # re-exported: montecarlo was their home
 
 
 @dataclass(frozen=True)
@@ -112,18 +88,6 @@ def make_estimate(successes: int, trials: int, z: float = 1.96) -> Estimate:
     return Estimate(trials, successes, successes / trials, low, high, z)
 
 
-def sample_mapping(n: int, stream: RngStream) -> Mapping:
-    """Draw a uniform random mapping on [n] from the given stream.
-
-    Each table entry is i.i.d. uniform on [1..n]; the underlying bounded
-    integer sampling is rejection-based, hence exactly uniform.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    table = stream.generator().integers(1, n + 1, size=n)
-    return Mapping(n, tuple(int(x) for x in table))
-
-
 def _unique_cyclic_mask(tables: np.ndarray) -> np.ndarray:
     """Row-wise unique-cyclic test for a batch of 0-based tables.
 
@@ -142,9 +106,8 @@ def _unique_cyclic_mask(tables: np.ndarray) -> np.ndarray:
     return mask
 
 
-# Philox4x64-10 multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# core's Philox4x64-10 multipliers, as numpy words for the vectorised rounds
+_PHILOX_M = tuple(np.uint64(m) for m in core._PHILOX_M)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 

@@ -88,6 +88,32 @@ def test_check_conditionals_matches_golden_bytes(capsys, n, trials, seed, jobs):
         assert out.encode() == (GOLDEN / f"check_conditionals_n{n}.{suffix}").read_bytes()
 
 
+def _sampler_goldens():
+    """(golden file, argv) of the single-object samplers."""
+    for n, seed in ((1, 21), (2, 22), (12, 23), (30, 24), (256, 25), (257, 26)):
+        base = ["--n", str(n), "--seed", str(seed)]
+        yield f"sample_function_n{n}.json", ["sample-function", *base]
+        yield f"sample_function_n{n}.dot", ["sample-function", *base, "--dot"]
+        for method in ("rejection", "prufer"):
+            yield f"sample_tree_{method}_n{n}.json", ["sample-tree", *base, "--method", method]
+    yield "sample_function_seed_2p64m1.json", ["sample-function", "--n", "30", "--seed", str(2**64 - 1)]
+    stream = ["--n", "30", "--stream", str(2**63)]
+    yield "sample_tree_rejection_stream_2p63.json", ["sample-tree", *stream, "--method", "rejection"]
+    yield "sample_tree_prufer_stream_2p63.dot", ["sample-tree", *stream, "--method", "prufer", "--dot"]
+    # 563 attempts of 256 draws: the stream runs far past 2**16 draws
+    yield "sample_tree_rejection_n256_long.dot", [
+        "sample-tree", "--n", "256", "--seed", "25", "--method", "rejection", "--dot",
+    ]
+
+
+@pytest.mark.parametrize("name, argv", list(_sampler_goldens()), ids=lambda v: v if isinstance(v, str) else "")
+def test_samplers_match_golden_bytes(capsys, name, argv):
+    # stdout recorded from the samplers that drew every stream with numpy's Philox
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_enumerate_json_document(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--json")
     assert code == 0
@@ -339,6 +365,38 @@ def test_rejection_attempt_cap_exits_1_with_an_error_line(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: no unique-cyclic mapping accepted in 30 attempts")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, home, sampler",
+    [
+        (["sample-function"], "core", "sample_mapping"),
+        (["sample-tree", "--method", "prufer"], "heights", "sample_rooted_tree_prufer"),
+        (["sample-tree"], "heights", "sample_rooted_tree_rejection"),
+    ],
+)
+def test_a_sample_too_large_for_memory_exits_2(capsys, monkeypatch, argv, home, sampler):
+    # numpy's allocation failure stands in for a real one: nothing is allocated
+    import importlib
+
+    def out_of_memory(n, stream):
+        raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+    monkeypatch.setattr(importlib.import_module(f"cayleykit.{home}"), sampler, out_of_memory)
+    code, out, err = run_cli(capsys, *argv, "--n", "10000000000")
+    assert (code, out, err) == (2, "", "error: Unable to allocate 80000000000 bytes\n")
+
+
+@pytest.mark.parametrize("n", [2**62, 2**70])
+@pytest.mark.parametrize("argv", [["sample-function"], ["sample-tree", "--method", "prufer"], ["sample-tree"]])
+def test_a_sample_size_numpy_refuses_exits_2_with_its_message(capsys, argv, n):
+    # spans above 2**32 go to numpy, which refuses these sizes before allocating
+    import numpy as np
+
+    with pytest.raises(ValueError) as refusal:
+        np.random.Generator(np.random.Philox(key=0)).integers(1, n + 1, size=n)
+    code, out, err = run_cli(capsys, *argv, "--n", str(n))
+    assert (code, out, err) == (2, "", f"error: {refusal.value}\n")
 
 
 def test_check_conditionals_n_below_1_exits_2():

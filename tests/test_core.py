@@ -3,6 +3,7 @@ import pytest
 
 from cayleykit import (
     Mapping,
+    RngStream,
     RootedTree,
     cycle_structure,
     iterate,
@@ -11,6 +12,7 @@ from cayleykit import (
     unique_cyclic_vertex,
 )
 
+from cayleykit import core
 from conftest import all_mappings
 
 
@@ -190,3 +192,94 @@ def test_tree_dot_marks_root():
     dot = tree_to_dot(RootedTree(3, 3, (2, 3, 0)))
     assert "3 [style=filled, peripheries=2];" in dot
     assert "1 -> 2;" in dot and "2 -> 3;" in dot
+
+
+# ------------------------------------------------------------ the pure-Python draw source
+
+DRAW_KEYS = [(0, 0), (2**63, 5), (2**64 - 1, 2**64 - 1)]
+DRAW_SIZES = [None, 5, None, None, 3, 17, 0, None, 40, 2]
+
+
+def _same(got, want):
+    if isinstance(got, list):
+        return isinstance(want, np.ndarray) and got == want.tolist()
+    return isinstance(got, int) and got == want
+
+
+def _drawn(draws):
+    """32-bit draws the pure-Python source has handed out."""
+    return 8 * draws._counter - len(draws._pool)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 2**31 + 1, 2**32 - 1, 2**32])
+@pytest.mark.parametrize("key", DRAW_KEYS)
+def test_draws_match_numpy_call_for_call(n, key):
+    stream = RngStream(*key)
+    draws, gen = stream.draws(), stream.generator()
+    for low in (1, 0):
+        for size in DRAW_SIZES:
+            assert _same(draws.integers(low, low + n, size), gen.integers(low, low + n, size))
+    assert draws._gen is None  # all of it drawn in pure Python
+
+
+def test_draws_redraw_on_lemire_rejections():
+    # 2**32 mod (2**31 + 1) is 2**31 - 1: about half of all draws are rejected
+    n = 2**31 + 1
+    for key in DRAW_KEYS:
+        stream = RngStream(*key)
+        draws, gen = stream.draws(), stream.generator()
+        got = [draws.integers(0, n, size) for size in DRAW_SIZES]
+        assert all(_same(g, gen.integers(0, n, size)) for g, size in zip(got, DRAW_SIZES))
+        served = sum(1 if size is None else size for size in DRAW_SIZES)
+        assert _drawn(draws) > served
+
+
+def test_a_span_of_one_draws_nothing():
+    draws, gen = RngStream(7, 8).draws(), RngStream(7, 8).generator()
+    assert draws.integers(5, 6, size=4) == [5] * 4 and draws.integers(5, 6) == 5
+    assert _drawn(draws) == 0
+    assert _same(draws.integers(0, 10, size=9), gen.integers(0, 10, size=9))
+
+
+@pytest.mark.parametrize("before", [0, 1, 2, 3, 7, 8, 9, 16, 21])
+@pytest.mark.parametrize("n", [256, 2**31 + 1])
+def test_draws_hand_over_to_numpy_at_the_same_position(monkeypatch, before, n):
+    # n = 256 never rejects, so its hand-over comes after exactly `before`
+    # draws: odd counts leave a word's high half due, multiples of 8 a
+    # spent block, 0 a fresh stream; n = 2**31 + 1 hands over after a
+    # rejection has taken the stream past the budget
+    monkeypatch.setattr(core, "_PURE_DRAWS", before)
+    for key in DRAW_KEYS:
+        stream = RngStream(*key)
+        draws, gen = stream.draws(), stream.generator()
+        for _ in range(before):
+            assert draws.integers(0, n) == gen.integers(0, n)
+        if n == 256:
+            assert draws._gen is None and _drawn(draws) == before
+        got, want = draws.integers(0, n, 70000), gen.integers(0, n, 70000)
+        assert np.array_equal(got, want)
+        assert str(draws._gen.bit_generator.state) == str(gen.bit_generator.state)
+        for size in DRAW_SIZES:
+            got, want = draws.integers(0, n, size), gen.integers(0, n, size)
+            assert np.asarray(got).tolist() == np.asarray(want).tolist()
+
+
+def test_a_first_request_past_the_budget_goes_to_numpy():
+    stream = RngStream(11, 2**63 + 1)
+    draws, gen = stream.draws(), stream.generator()
+    size = core._PURE_DRAWS + 1
+    assert np.array_equal(draws.integers(1, 31, size), gen.integers(1, 31, size))
+    assert draws._gen is not None and _drawn(draws) == 0
+    assert draws.integers(1, 31) == gen.integers(1, 31)
+
+
+@pytest.mark.parametrize("before", [0, 3, 8])
+def test_spans_above_2_32_go_to_numpy(before):
+    stream = RngStream(2**64 - 1, 12)
+    draws, gen = stream.draws(), stream.generator()
+    for _ in range(before):
+        assert _same(draws.integers(0, 1000), gen.integers(0, 1000))
+    assert draws.integers(0, 2**32 + 1) == gen.integers(0, 2**32 + 1)
+    assert draws._gen is not None
+    assert np.array_equal(draws.integers(0, 2**40, size=5), gen.integers(0, 2**40, size=5))
+    assert np.array_equal(draws.integers(0, 7, size=5), gen.integers(0, 7, size=5))

@@ -39,6 +39,24 @@ def test_import_loads_no_submodule_and_no_numpy():
     assert out.stdout == "[]\n"
 
 
+def test_single_object_samplers_start_without_numpy():
+    code = (
+        "import contextlib, io, sys\n"
+        "import cayleykit.heights\n"
+        "from cayleykit.cli import main\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in ('sample-function --n 12', 'sample-tree --n 30',\n"
+        "             'sample-tree --n 30 --method prufer', 'sample-tree --n 30 --dot'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv.split()) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[False, False, False, False, False]\n"
+
+
 def test_public_names_unchanged_and_resolve():
     assert sorted(cayleykit.__all__) == PUBLIC_NAMES
     for name in cayleykit.__all__:
