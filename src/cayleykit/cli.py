@@ -42,9 +42,12 @@ def _emit(args, text: str) -> None:
     out = getattr(args, "output", None)
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _emit_json(args, doc: dict) -> None:
@@ -93,6 +96,8 @@ def cmd_trace(args) -> int:
 
 def cmd_verify_cayley(args) -> int:
     _require_counts(args, "n", "trials", "jobs")
+    if not 0 < args.z < math.inf:  # wilson_interval's check, made before any trial runs
+        raise ValueError(f"z must be finite and > 0, got {args.z}")
     from .montecarlo import estimate_unique_cyclic
     est = estimate_unique_cyclic(
         args.n, args.trials, args.seed, z=args.z, jobs=args.jobs

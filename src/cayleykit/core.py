@@ -58,12 +58,6 @@ class Mapping:
                     f"table entry f({v})={image} out of range [1..{self.n}]"
                 )
 
-    def apply(self, v: int) -> int:
-        """Return f(v) for a 1-based vertex v."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range [1..{self.n}]")
-        return self.table[v - 1]
-
     def edges(self) -> list[tuple[int, int]]:
         """All directed edges (v, f(v)) in vertex order."""
         return [(v, self.table[v - 1]) for v in range(1, self.n + 1)]
@@ -286,11 +280,33 @@ def unique_cyclic_vertex(m: Mapping) -> int | None:
     return root
 
 
-def mapping_to_dot(m: Mapping, *, name: str = "mapping") -> str:
+def _pointer_doubling(tables: np.ndarray, fold=None, values=None):
+    """(g, values) after pointer doubling each row of 0-based tables, on flat indices.
+
+    Row r's entries are offset by r * n, so g = g[g] squares every row
+    at once: after t squarings g = f^(2^t).  The loop stops at the first
+    2^t >= n, where g maps every vertex onto the cyclic set, and onto
+    the whole of it.  With a fold (np.minimum, np.add), each squaring
+    first sets values = fold(values, values[g]), so a value per flat
+    vertex ends as the fold of its values over f^k(v), k < 2^t.
+    """
+    import numpy as np
+
+    m, n = tables.shape
+    g = (tables + n * np.arange(m)[:, None]).ravel()
+    for _ in range(max(1, (n - 1).bit_length())):
+        if fold is not None:
+            values = fold(values, values[g])
+        g = g[g]
+    return g, values
+
+
+def mapping_to_dot(m: Mapping, *, name: str = "mapping", labels: dict | None = None) -> str:
     """DOT rendering of the functional digraph.
 
     Cyclic vertices get a doubled border so the core of each component
-    stands out from the hanging trees.
+    stands out from the hanging trees.  labels, if given, maps each edge
+    (v, f(v)) to its label.
     """
     cs = cycle_structure(m)
     lines = [f"digraph {name} {{"]
@@ -300,7 +316,8 @@ def mapping_to_dot(m: Mapping, *, name: str = "mapping") -> str:
         else:
             lines.append(f"  {v};")
     for v, w in m.edges():
-        lines.append(f"  {v} -> {w};")
+        label = f' [label="{labels[(v, w)]}"]' if labels else ""
+        lines.append(f"  {v} -> {w}{label};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

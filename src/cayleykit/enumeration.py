@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bijection import prufer_parent_rows
+from .core import _pointer_doubling
 
 MAX_COUNT_N = 8
 MAX_HEIGHT_N = 7
@@ -61,40 +62,31 @@ def _word_chunks(n: int, length: int, suffix: int):
 def _table_stats(tables: np.ndarray, depths: bool = True):
     """(num_cycles, num_cyclic, root, depth) for a batch of 0-based tables.
 
-    Pointer doubling on flat indices: after t squarings g = f^(2^t),
-    and with 2^t >= n it maps every vertex onto the cyclic set, so a
-    vertex is cyclic exactly when it is in the image of g.  The same
-    steps carry low(v) = min over k < 2^t of f^k(v), which on a cyclic
-    vertex is its cycle's minimum, so each cycle is counted once, at
-    that minimum.  root is a row's unique cyclic vertex, or -1 when it
-    has several.  With depths, depth holds one row per table with a
-    root, in order: depth(v) = #{k < 2^t : f^k(v) != root}, summed by
-    the same doubling.
+    Two passes of core._pointer_doubling.  Its g = f^(2^t), 2^t >= n,
+    maps every vertex onto the cyclic set, so a vertex is cyclic exactly
+    when it is in the image of g.  The first pass folds np.minimum over
+    the flat indices: low(v) = min over k < 2^t of f^k(v), which on a
+    cyclic vertex is its cycle's minimum, so each cycle is counted once,
+    at that minimum.  root is a row's unique cyclic vertex, or -1 when
+    it has several.  With depths, depth holds one row per table with a
+    root, in order: the second pass folds np.add over the tables with a
+    root, so depth(v) = #{k < 2^t : f^k(v) != root}.
     """
     m, n = tables.shape
-    steps = max(1, (n - 1).bit_length())
-    offsets = n * np.arange(m)[:, None]
-    g = (tables + offsets).ravel()
-    flat = low = np.arange(m * n)
-    for _ in range(steps):
-        low = np.minimum(low, low[g])
-        g = g[g]
+    flat = np.arange(m * n)
+    g, low = _pointer_doubling(tables, np.minimum, flat)
     cyclic = np.zeros(m * n, dtype=bool)
     cyclic[g] = True
     num_cyclic = cyclic.reshape(m, n).sum(axis=1)
     num_cycles = (cyclic & (low == flat)).reshape(m, n).sum(axis=1)
     has_root = num_cyclic == 1
-    root = np.where(has_root, g[::n] - offsets[:, 0], -1)
+    root = np.where(has_root, g[::n] - flat[::n], -1)
     depth = None
     if depths:
         rooted = tables[has_root]
-        g = (rooted + offsets[: len(rooted)]).ravel()
         # the root is the only fixed point of a rooted table
-        depth = (rooted != np.arange(n)).ravel().astype(np.int64)
-        for _ in range(steps):
-            depth = depth + depth[g]
-            g = g[g]
-        depth = depth.reshape(-1, n)
+        counted = (rooted != np.arange(n)).ravel().astype(np.int64)
+        depth = _pointer_doubling(rooted, np.add, counted)[1].reshape(-1, n)
     return num_cycles, num_cyclic, root, depth
 
 

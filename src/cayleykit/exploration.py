@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Mapping, cycle_structure
+from .core import Mapping, mapping_to_dot
 
 
 class Closure(str, Enum):
@@ -259,17 +259,5 @@ def conditional_event_probabilities(
 
 def trace_to_dot(t: ExplorationTrace, *, name: str = "trace") -> str:
     """DOT rendering of the explored digraph with reveal order as labels."""
-    m = reconstruct_mapping(t)
-    cs = cycle_structure(m)
     reveal_time = {edge: i + 1 for i, edge in enumerate(t.revealed_edges())}
-    lines = [f"digraph {name} {{"]
-    for v in range(1, t.n + 1):
-        if cs.cyclic[v - 1]:
-            lines.append(f"  {v} [peripheries=2];")
-        else:
-            lines.append(f"  {v};")
-    for v in range(1, t.n + 1):
-        w = m.table[v - 1]
-        lines.append(f'  {v} -> {w} [label="{reveal_time[(v, w)]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return mapping_to_dot(reconstruct_mapping(t), name=name, labels=reveal_time)

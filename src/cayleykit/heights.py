@@ -20,7 +20,7 @@ from .bijection import (
     prufer_parent_rows,
     prufer_parents,
 )
-from .core import Mapping, RngStream, RootedTree, unique_cyclic_vertex
+from .core import Mapping, RngStream, RootedTree, _pointer_doubling, unique_cyclic_vertex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -224,7 +224,8 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
     Attempt j is draws [jn, (j+1)n) and the vertex is the draw after the
     first accepted attempt.  Each segment draws the next attempts of the
     streams still pending, about n per stream of the chunk in all; the
-    height is the number of f-steps from the vertex to the fixed point.
+    height, the number of f-steps from the vertex to the fixed point,
+    is summed by core._pointer_doubling over all accepted tables at once.
     """
     import numpy as np
     from . import montecarlo
@@ -245,12 +246,10 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
         found = accepted.any(axis=1)
         done = np.flatnonzero(found & ~rejected)
         k = accepted[done].argmax(axis=1)
-        f, v = tables[done, k], rows[done, (k + 1) * n]
-        h, j = np.zeros(len(done), dtype=np.int64), np.arange(len(done))
-        while (moving := f[j, v] != v).any():
-            h += moving
-            v = f[j, v]
-        heights[pending[done]] = h
+        f, v = tables[done, k], rows[done, (k + 1) * n] + n * np.arange(len(done))
+        # height(v) = #{s < 2^t : f^s(v) != root}; the root is f's only fixed point
+        depth = _pointer_doubling(f, np.add, (f != np.arange(n)).ravel().astype(np.int64))[1]
+        heights[pending[done]] = depth[v]
         pending = pending[~found & ~rejected]
         attempt += count
     return heights

@@ -73,8 +73,8 @@ def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes={successes} outside [0, {trials}]")
-    if z <= 0:
-        raise ValueError(f"z must be > 0, got {z}")
+    if not 0 < z < math.inf:  # NaN and infinities too: JSON has no spelling for them
+        raise ValueError(f"z must be finite and > 0, got {z}")
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -91,17 +91,15 @@ def make_estimate(successes: int, trials: int, z: float = 1.96) -> Estimate:
 def _unique_cyclic_mask(tables: np.ndarray) -> np.ndarray:
     """Row-wise unique-cyclic test for a batch of 0-based tables.
 
-    Iterating f doubling-wise, f^(2^t) with 2^t >= n maps every vertex
-    into the cyclic set and is onto it, so a row has a unique cyclic
-    vertex exactly when all entries of the iterated row agree.  That
-    vertex is then the only fixed point, so only rows with exactly one
-    fixed point are iterated.
+    core._pointer_doubling gives f^(2^t) with 2^t >= n, which maps every
+    vertex onto the cyclic set, so a row has a unique cyclic vertex
+    exactly when all entries of its squared row agree.  That vertex is
+    then the only fixed point, so only rows with exactly one fixed
+    point are squared.
     """
     _, n = tables.shape
     mask = (tables == np.arange(n)).sum(axis=1) == 1
-    g = tables[mask]
-    for _ in range(max(1, (n - 1).bit_length())):
-        g = np.take_along_axis(g, g, axis=1)
+    g = core._pointer_doubling(tables[mask])[0].reshape(-1, n)
     mask[mask] = (g == g[:, :1]).all(axis=1)
     return mask
 

@@ -88,6 +88,27 @@ def test_check_conditionals_matches_golden_bytes(capsys, n, trials, seed, jobs):
         assert out.encode() == (GOLDEN / f"check_conditionals_n{n}.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "n, trials, seed",
+    [
+        (1, 300, 41),
+        (2, 500, 42),
+        (7, 2000, 43),
+        (100, 2000, 2**63 + 1),
+        (256, 2000, 45),
+        (257, 500, 2**64 - 1),  # past the vectorised draws: one keyed generator per trial
+    ],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_cayley_matches_golden_bytes(capsys, n, trials, seed, jobs):
+    # stdout recorded from the take_along_axis mask that flat pointer doubling replaced
+    argv = ["verify-cayley", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
+    for flags, suffix in (((), "txt"), (("--json",), "json")):
+        code, out, err = run_cli(capsys, *argv, "--jobs", jobs, *flags)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / f"verify_cayley_n{n}.{suffix}").read_bytes()
+
+
 def _sampler_goldens():
     """(golden file, argv) of the single-object samplers."""
     for n, seed in ((1, 21), (2, 22), (12, 23), (30, 24), (256, 25), (257, 26)):
@@ -311,6 +332,24 @@ def test_output_file_option(tmp_path, capsys):
     assert json.loads(out_path.read_text())["total"] == "4"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-function", "--n", "3"],
+        ["enumerate", "--n", "3"],
+        ["verify-cayley", "--n", "5", "--trials", "100", "--json"],
+    ],
+)
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_output_exits_2_with_one_error_line(tmp_path, capsys, argv, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_jobs_flag_gives_identical_bytes(capsys):
     args = ["verify-cayley", "--n", "5", "--trials", "4000", "--seed", "77", "--json"]
     _, out1, _ = run_cli(capsys, *args, "--jobs", "1")
@@ -476,6 +515,15 @@ def test_pure_python_commands_start_without_numpy(capsys):
 def test_invalid_counts_are_rejected_before_numpy_loads(argv, message):
     numpy_loaded, [(code, out, err)] = run_fresh([(argv.split(), "")])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf", "0", "-1"])
+def test_a_bad_z_is_rejected_before_numpy_loads(z):
+    # NaN and the infinities would print as JSON's invalid NaN and Infinity
+    argv = ["verify-cayley", "--n", "5", "--trials", "10", f"--z={z}", "--json"]
+    numpy_loaded, [(code, out, err)] = run_fresh([(argv, "")])
+    assert (code, out, err) == (2, "", f"error: z must be finite and > 0, got {float(z)}\n")
     assert not numpy_loaded
 
 

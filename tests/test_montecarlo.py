@@ -21,7 +21,7 @@ from cayleykit import (
     unique_cyclic_vertex,
     wilson_interval,
 )
-from cayleykit import montecarlo
+from cayleykit import core, montecarlo
 from cayleykit.exploration import Closure, SmallestLabel, explore
 from cayleykit.montecarlo import count_unique_cyclic, draw_tables, tally_round_events
 
@@ -268,6 +268,75 @@ def test_round_event_kernel_matches_explore_on_random_ranges(n, start, stop):
     assert tally_round_events(n, SEED, start, stop) == _explore_tallies(tables)
 
 
+def _scalar_mask(tables):
+    """core.unique_cyclic_vertex on each 0-based row."""
+    return np.array(
+        [
+            unique_cyclic_vertex(Mapping(len(row), tuple(x + 1 for x in row))) is not None
+            for row in np.asarray(tables).tolist()
+        ],
+        dtype=bool,
+    )
+
+
+def _checked_mask(tables, monkeypatch):
+    """_unique_cyclic_mask of tables, asserting that it squares only the
+    rows with exactly one fixed point."""
+    tables = np.asarray(tables, dtype=np.int64)
+    squared = []
+
+    def spy(rows, *args):
+        squared.append(rows.copy())
+        return real(rows, *args)
+
+    real = core._pointer_doubling
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_pointer_doubling", spy)
+        mask = montecarlo._unique_cyclic_mask(tables)
+    one_fixed_point = (tables == np.arange(tables.shape[1])).sum(axis=1) == 1
+    assert len(squared) == 1 and np.array_equal(squared[0], tables[one_fixed_point])
+    return mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unique_cyclic_mask_matches_scalar_oracle_on_every_table(n, monkeypatch):
+    tables = np.array(list(itertools.product(range(n), repeat=n)))
+    expected = _scalar_mask(tables)
+    assert expected.sum() == n ** (n - 1)
+    assert np.array_equal(_checked_mask(tables, monkeypatch), expected)
+    batches = [_checked_mask(tables[lo : lo + 7], monkeypatch) for lo in range(0, len(tables), 7)]
+    assert np.array_equal(np.concatenate(batches), expected)
+
+
+# n where (n - 1).bit_length(), the number of squarings, steps up, and just before
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 128, 129, 256])
+def test_unique_cyclic_mask_on_planted_tables(n, monkeypatch):
+    identity = list(range(n))
+    planted = {
+        "identity": (identity, n == 1),
+        "constant": ([n // 2] * n, True),
+        # v -> v + 1 up to the root n - 1: vertex 0 needs all n - 1 steps
+        "path": ([min(v + 1, n - 1) for v in range(n)], True),
+        "cycle": ([(v + 1) % n for v in range(n)], n == 1),
+    }
+    if n >= 2:
+        planted["two fixed points"] = ([0, 1] + [0] * (n - 2), False)
+    if n >= 3:
+        # a path to the root n - 3, and the 2-cycle n - 2 <-> n - 1
+        tree = [min(v + 1, n - 3) for v in range(n - 2)]
+        planted["tree and 2-cycle"] = (tree + [n - 1, n - 2], False)
+    rows = [row for row, _ in planted.values()]
+    expected = [unique for _, unique in planted.values()]
+    assert _scalar_mask(rows).tolist() == expected
+    for name, (row, unique) in planted.items():
+        assert _checked_mask([row], monkeypatch).tolist() == [unique], name
+    assert _checked_mask(rows, monkeypatch).tolist() == expected
+    # the same rows behind a batch of random tables, so every row offset is nonzero
+    filler = np.random.default_rng(n).integers(0, n, size=(5, n))
+    batch = np.vstack([filler, rows])
+    assert np.array_equal(_checked_mask(batch, monkeypatch), _scalar_mask(batch))
+
+
 def test_estimate_unique_cyclic_trivial_n1():
     est = estimate_unique_cyclic(1, 10, SEED)
     assert est.point == 1.0 and est.successes == 10
@@ -322,6 +391,14 @@ def test_wilson_interval_validation():
         wilson_interval(-1, 4, 1.96)
     with pytest.raises(ValueError):
         wilson_interval(1, 4, 0.0)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_wilson_interval_rejects_a_z_that_is_not_finite_and_positive(z):
+    with pytest.raises(ValueError, match="z must be finite and > 0"):
+        wilson_interval(1, 4, z)
+    with pytest.raises(ValueError, match="z must be finite and > 0"):
+        make_estimate(1, 4, z)
 
 
 def test_make_estimate_fields():
