@@ -9,7 +9,7 @@ pays for numpy.
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 _HOMES = {
     "core": (
@@ -19,7 +19,6 @@ _HOMES = {
         "RngStream",
         "RootedTree",
         "cycle_structure",
-        "iterate",
         "mapping_to_dot",
         "sample_mapping",
         "tree_to_dot",
@@ -50,7 +49,6 @@ _HOMES = {
         "prufer_decode",
         "prufer_encode",
         "rooted_tree_to_mapping",
-        "tree_edges",
     ),
     "enumeration": (
         "ExactCounts",
@@ -69,11 +67,9 @@ _HOMES = {
         "wilson_interval",
     ),
     "heights": (
-        "HeightSample",
         "LawEqualityReport",
         "law_equality_report",
         "sample_collision_count",
-        "sample_height_plus_one",
         "sample_rooted_tree_prufer",
         "sample_rooted_tree_rejection",
     ),

@@ -287,13 +287,3 @@ def prufer_decode(p: PruferSequence) -> list[tuple[int, int]]:
         for v, w in enumerate(prufer_parents(p), start=1)
         if w != NO_PARENT
     )
-
-
-def tree_edges(t: RootedTree) -> list[tuple[int, int]]:
-    """Undirected edge list of a rooted tree, as sorted (min, max) pairs."""
-    out = []
-    for v in range(1, t.n + 1):
-        if v != t.root:
-            p = t.parent[v - 1]
-            out.append((v, p) if v < p else (p, v))
-    return sorted(out)

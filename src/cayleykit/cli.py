@@ -209,8 +209,6 @@ def cmd_sample_tree(args) -> int:
 
 
 def cmd_heights(args) -> int:
-    if args.exact and args.n > 6:
-        raise ValueError("--exact requires n <= 6 (full enumeration)")
     _require_counts(args, "n", "trials", "jobs")
     from .heights import law_equality_report
     report = law_equality_report(
@@ -329,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=RELEASE_SEED)
     p.add_argument("--method", choices=["rejection", "prufer"], default="prufer")
-    p.add_argument("--exact", action="store_true", help="require the exact identity (n <= 6)")
     p.add_argument("--jobs", type=int, default=1)
     add_output(p)
     p.set_defaults(func=cmd_heights)

@@ -79,13 +79,11 @@ class Mapping:
 class CycleStructure:
     """Cyclic vertices and cycle decomposition of a mapping's digraph.
 
-    ``cyclic[v-1]`` says whether v lies on a cycle; ``cycle_id[v-1]`` is
-    the index into ``cycles`` for cyclic vertices and None otherwise.
-    Each cycle is listed in traversal order, f(c_j) = c_{j+1 mod len}.
+    ``cyclic[v-1]`` says whether v lies on a cycle.  Each cycle is
+    listed in traversal order, f(c_j) = c_{j+1 mod len}.
     """
 
     cyclic: tuple[bool, ...]
-    cycle_id: tuple[int | None, ...]
     cycles: tuple[tuple[int, ...], ...]
     num_cycles: int
 
@@ -149,61 +147,8 @@ class RootedTree:
             d += 1
         return d
 
-    def depths(self) -> list[int]:
-        """Edge-distance to the root for every vertex, computed in O(n)."""
-        out = [-1] * self.n
-        out[self.root - 1] = 0
-        for v in range(1, self.n + 1):
-            chain = []
-            w = v
-            while out[w - 1] < 0:
-                chain.append(w)
-                w = self.parent[w - 1]
-            d = out[w - 1]
-            for u in reversed(chain):
-                d += 1
-                out[u - 1] = d
-        return out
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "root": self.root, "parent": list(self.parent)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RootedTree":
-        try:
-            n = int(d["n"])
-            root = int(d["root"])
-            parent = tuple(int(x) for x in d["parent"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"invalid rooted-tree JSON: {exc}") from exc
-        return cls(n, root, parent)
-
-
-def iterate(m: Mapping, v: int, k: int) -> int:
-    """Apply f to v exactly k times; k=0 returns v.
-
-    Runs in O(min(k, n)): once the walk revisits a vertex the remaining
-    steps are reduced modulo the cycle length.
-    """
-    if not 1 <= v <= m.n:
-        raise ValueError(f"vertex {v} out of range [1..{m.n}]")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    table = m.table
-    first_seen: dict[int, int] = {}
-    cur = v
-    step = 0
-    while step < k:
-        if cur in first_seen:
-            mu = first_seen[cur]
-            lam = step - mu
-            for _ in range((k - mu) % lam):
-                cur = table[cur - 1]
-            return cur
-        first_seen[cur] = step
-        cur = table[cur - 1]
-        step += 1
-    return cur
 
 
 def cycle_structure(m: Mapping) -> CycleStructure:
@@ -217,7 +162,6 @@ def cycle_structure(m: Mapping) -> CycleStructure:
     table = m.table
     state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 finished
     cyclic = [False] * n
-    cycle_id: list[int | None] = [None] * n
     cycles: list[tuple[int, ...]] = []
     for s in range(1, n + 1):
         if state[s - 1]:
@@ -234,14 +178,12 @@ def cycle_structure(m: Mapping) -> CycleStructure:
             while w != v:
                 cyc.append(w)
                 w = table[w - 1]
-            cid = len(cycles)
             cycles.append(tuple(cyc))
             for u in cyc:
                 cyclic[u - 1] = True
-                cycle_id[u - 1] = cid
         for w in walk:
             state[w - 1] = 2
-    return CycleStructure(tuple(cyclic), tuple(cycle_id), tuple(cycles), len(cycles))
+    return CycleStructure(tuple(cyclic), tuple(cycles), len(cycles))
 
 
 def unique_cyclic_vertex(m: Mapping) -> int | None:

@@ -138,23 +138,6 @@ class ExplorationTrace:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExplorationTrace":
-        try:
-            rounds = tuple(
-                RoundRecord(
-                    index=i + 1,
-                    start=int(r["start"]),
-                    path=tuple(int(x) for x in r["path"]),
-                    closing_edge=(int(r["closing_edge"][0]), int(r["closing_edge"][1])),
-                    closure=Closure(r["closure"]),
-                )
-                for i, r in enumerate(d["rounds"])
-            )
-            return cls(int(d["n"]), rounds, tuple(int(t) for t in d["T"]), int(d["K"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"invalid trace JSON: {exc}") from exc
-
 
 def explore(m: Mapping, strategy: SelectionStrategy | None = None) -> ExplorationTrace:
     """Run the reveal procedure on m and record the full trace.

@@ -11,7 +11,7 @@ tallies and the report load numpy, where they run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .bijection import (
@@ -31,15 +31,6 @@ if TYPE_CHECKING:
 #: Hard cap on rejection attempts; a healthy sampler at size n succeeds
 #: after n attempts on average, so hitting this means the RNG is broken.
 ATTEMPT_CAP_FACTOR = 10_000
-
-
-@dataclass(frozen=True)
-class HeightSample:
-    """One sampled vertex height, with the sampler's attempt count."""
-
-    vertex: int
-    height: int
-    attempts: int
 
 
 def _attempt_cap_error(n: int) -> RuntimeError:
@@ -96,23 +87,15 @@ def sample_rooted_tree_prufer(n: int, stream: RngStream) -> RootedTree:
     return _sample_tree_prufer(stream.draws(), n)
 
 
-def _sample_height(gen: _Draws | np.random.Generator, n: int, method: str) -> HeightSample:
+def _sample_height(gen: _Draws | np.random.Generator, n: int, method: str) -> int:
+    """The height of a uniform vertex in a tree drawn by the given sampler."""
     if method == "rejection":
-        tree, attempts = _sample_tree_rejection(gen, n)
+        tree = _sample_tree_rejection(gen, n)[0]
     elif method == "prufer":
         tree = _sample_tree_prufer(gen, n)
-        attempts = 1
     else:
         raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
-    vertex = int(gen.integers(1, n + 1))
-    return HeightSample(vertex, tree.depth(vertex), attempts)
-
-
-def sample_height_plus_one(n: int, stream: RngStream, method: str = "rejection") -> int:
-    """Sample 1 + (height of a uniform vertex in a uniform rooted tree)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return 1 + _sample_height(stream.draws(), n, method).height
+    return tree.depth(int(gen.integers(1, n + 1)))
 
 
 def _sample_collision(gen: _Draws | np.random.Generator, n: int) -> int:
@@ -150,13 +133,7 @@ class ChiSquareCheck:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "statistic": self.statistic,
-            "df": self.df,
-            "critical": self.critical,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -301,7 +278,7 @@ def tally_law_histograms(
     if stop > start:
         RngStream(master_seed, 2 * stop - 1)  # validates the seed and the last stream
     samplers = (
-        lambda gen: _sample_height(gen, n, method).height,
+        lambda gen: _sample_height(gen, n, method),
         lambda gen: _sample_collision(gen, n) - 1,
     )
     counts = np.zeros((2, n), dtype=np.int64)

@@ -296,6 +296,8 @@ def estimate_unique_cyclic(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 < z < math.inf:  # wilson_interval's check, made before any trial runs
+        raise ValueError(f"z must be finite and > 0, got {z}")
     successes = run_trials(count_unique_cyclic, n, master_seed, trials, jobs, sum)
     return make_estimate(successes, trials, z)
 

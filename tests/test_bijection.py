@@ -17,7 +17,6 @@ from cayleykit import (
     prufer_decode,
     prufer_encode,
     rooted_tree_to_mapping,
-    tree_edges,
     unique_cyclic_vertex,
 )
 from cayleykit.bijection import prufer_parent_rows, prufer_parents
@@ -214,11 +213,6 @@ def test_cardinality_chain_trees_vs_rooted():
             1 for t in all_tables(n) if unique_cyclic_vertex(Mapping(n, t)) is not None
         )
         assert unique_cyclic == trees * n == n ** (n - 1)
-
-
-def test_tree_edges_helper():
-    t = RootedTree(4, 2, (2, 0, 1, 3))
-    assert tree_edges(t) == [(1, 2), (1, 3), (3, 4)]
 
 
 def test_prufer_parent_rows_match_the_scalar_decoder():

@@ -109,6 +109,31 @@ def test_verify_cayley_matches_golden_bytes(capsys, n, trials, seed, jobs):
         assert out.encode() == (GOLDEN / f"verify_cayley_n{n}.{suffix}").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "n, method, trials, seed, code, warnings",
+    [
+        (1, "prufer", 200, 51, 0, 2),  # both one-bin tests have df = 0
+        (1, "rejection", 200, 52, 0, 2),
+        (4, "prufer", 2000, 53, 0, 0),
+        (4, "rejection", 2000, 54, 0, 0),
+        (30, "prufer", 2000, 55, 0, 0),
+        (30, "rejection", 500, 56, 0, 0),
+        (50, "prufer", 2000, 57, 0, 0),
+        (50, "rejection", 300, 58, 0, 0),
+        # past the vectorised draws: every trial runs through _sample_height
+        (257, "prufer", 300, 2**64 - 1, 0, 0),
+        (257, "rejection", 40, 2**64 - 1, 1, 2),  # 40 trials over 257 bins: a FAIL
+    ],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_heights_matches_golden_bytes(capsys, n, method, trials, seed, code, warnings, jobs):
+    # stdout recorded from the HeightSample sampler and the hand-written check dicts
+    argv = ["heights", "--n", str(n), "--method", method, "--trials", str(trials), "--seed", str(seed)]
+    result = run_cli(capsys, *argv, "--jobs", jobs)
+    assert result[0::2] == (code, "warning: all probability mass merged into one bin; df=0\n" * warnings)
+    assert result[1].encode() == (GOLDEN / f"heights_{method}_n{n}.json").read_bytes()
+
+
 def _sampler_goldens():
     """(golden file, argv) of the single-object samplers."""
     for n, seed in ((1, 21), (2, 22), (12, 23), (30, 24), (256, 25), (257, 26)):
@@ -256,17 +281,14 @@ def test_heights_report_json(capsys):
         "1500",
         "--seed",
         "21",
-        "--exact",
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["exact_law_equal"] is True
+    assert doc["exact_law_equal"] is True  # the exact identity runs for every n <= 6
     assert doc["passed"] is True
     assert doc["height_method"] == "prufer"
-    code, _, err = run_cli(
-        capsys, "heights", "--n", "9", "--trials", "10", "--seed", "21", "--exact"
-    )
-    assert code == 2 and "n <= 6" in err
+    _, out, _ = run_cli(capsys, "heights", "--n", "9", "--trials", "10", "--seed", "21")
+    assert json.loads(out)["exact_law_equal"] is None  # beyond n = 6 only the sampled checks
 
 
 def test_prufer_cli_round_trip(tmp_path, capsys):
@@ -438,6 +460,18 @@ def test_a_sample_size_numpy_refuses_exits_2_with_its_message(capsys, argv, n):
     assert (code, out, err) == (2, "", f"error: {refusal.value}\n")
 
 
+def test_the_removed_heights_exact_flag_exits_2_without_traceback():
+    # --exact only rejected itself at n > 6; the identity runs unasked for n <= 6
+    out = subprocess.run(
+        [sys.executable, "-m", "cayleykit", "heights", "--n", "4", "--trials", "10", "--exact"],
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.endswith("error: unrecognized arguments: --exact\n")
+    assert "Traceback" not in out.stderr
+
+
 def test_check_conditionals_n_below_1_exits_2():
     # n = 0 used to divide by zero in the chunking before draw_tables' check;
     # the CLI now names a bad n in the words every other command uses
@@ -493,7 +527,7 @@ def test_pure_python_commands_start_without_numpy(capsys):
     for (argv, stdin), result in zip(calls[:-1], results):
         assert result == run_stdin(capsys, argv, stdin)
         assert result[0] == 0
-    assert results[-1][:2] == (0, "cayleykit 0.3.0\n")
+    assert results[-1][:2] == (0, "cayleykit 0.4.0\n")
 
 
 @pytest.mark.parametrize(
@@ -509,7 +543,6 @@ def test_pure_python_commands_start_without_numpy(capsys):
         ("heights --n -1 --trials 0 --jobs 0", "n must be >= 1, got -1"),
         ("heights --n 5 --trials 0 --jobs 0", "trials must be >= 1, got 0"),
         ("heights --n 5 --trials 10 --jobs 0", "jobs must be >= 1, got 0"),
-        ("heights --n 9 --trials 0 --exact", "--exact requires n <= 6 (full enumeration)"),
     ],
 )
 def test_invalid_counts_are_rejected_before_numpy_loads(argv, message):

@@ -6,7 +6,6 @@ from cayleykit import (
     RngStream,
     RootedTree,
     cycle_structure,
-    iterate,
     mapping_to_dot,
     tree_to_dot,
     unique_cyclic_vertex,
@@ -44,34 +43,6 @@ def naive_component_count(m):
     return len({find(v) for v in range(1, m.n + 1)})
 
 
-def test_iterate_examples():
-    assert iterate(Mapping(3, (2, 3, 1)), 1, 3) == 1
-    assert iterate(Mapping(4, (2, 3, 3, 1)), 1, 0) == 1
-    assert iterate(Mapping(4, (2, 3, 3, 1)), 1, 2) == 3
-
-
-def test_iterate_large_k_reduces_over_cycle():
-    m = Mapping(5, (2, 3, 1, 1, 4))
-    # brute-force reference for a grid of k values
-    for v in range(1, 6):
-        w = v
-        for k in range(1, 40):
-            w = m.table[w - 1]
-            assert iterate(m, v, k) == w
-    # astronomically large k still terminates
-    assert iterate(Mapping(3, (2, 3, 1)), 1, 3 * 10**18) == 1
-
-
-def test_iterate_rejects_bad_vertex():
-    m = Mapping(3, (1, 1, 1))
-    with pytest.raises(ValueError):
-        iterate(m, 0, 1)
-    with pytest.raises(ValueError):
-        iterate(m, 4, 1)
-    with pytest.raises(ValueError):
-        iterate(m, 1, -1)
-
-
 def test_cycle_structure_examples():
     cs = cycle_structure(Mapping(2, (1, 1)))
     assert cs.cyclic_vertices == (1,) and cs.num_cycles == 1
@@ -90,16 +61,12 @@ def test_cycle_structure_invariants_exhaustive_small():
             assert cs.num_cycles >= 1
             # cycles are disjoint, cover the cyclic set, and follow f
             seen = set()
-            for cid, cyc in enumerate(cs.cycles):
+            for cyc in cs.cycles:
                 assert not (set(cyc) & seen)
                 seen.update(cyc)
                 for j, v in enumerate(cyc):
                     assert m.table[v - 1] == cyc[(j + 1) % len(cyc)]
-                    assert cs.cycle_id[v - 1] == cid
             assert seen == set(cs.cyclic_vertices)
-            for v in range(1, n + 1):
-                if not cs.cyclic[v - 1]:
-                    assert cs.cycle_id[v - 1] is None
 
 
 def test_cycle_structure_agrees_with_oracle_random():
@@ -169,14 +136,13 @@ def test_rooted_tree_validation():
 
 def test_rooted_tree_depths():
     t = RootedTree(4, 2, (2, 0, 1, 3))
-    assert t.depths() == [1, 0, 2, 3]
     assert [t.depth(v) for v in range(1, 5)] == [1, 0, 2, 3]
 
 
 def test_rooted_tree_json_round_trip():
     t = RootedTree(3, 3, (2, 3, 0))
-    assert RootedTree.from_json_dict(t.to_json_dict()) == t
-    assert t.to_json_dict()["parent"][t.root - 1] == 0
+    assert t.to_json_dict() == {"n": 3, "root": 3, "parent": [2, 3, 0]}
+    assert RootedTree(**t.to_json_dict()) == t
 
 
 def test_mapping_dot_marks_cyclic_vertices():

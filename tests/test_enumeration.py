@@ -51,7 +51,8 @@ def _check_table_stats(n, tables):
         fixed = unique_cyclic_vertex(m)
         assert root[j] == (-1 if fixed is None else fixed - 1)
         if fixed is not None:
-            assert next(rooted).tolist() == mapping_to_rooted_tree(m).depths()
+            tree = mapping_to_rooted_tree(m)
+            assert next(rooted).tolist() == [tree.depth(v) for v in range(1, n + 1)]
     assert next(rooted, None) is None
 
 

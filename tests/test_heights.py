@@ -10,7 +10,6 @@ from cayleykit import (
     exact_height_pmf,
     law_equality_report,
     sample_collision_count,
-    sample_height_plus_one,
     sample_rooted_tree_prufer,
     sample_rooted_tree_rejection,
 )
@@ -100,19 +99,21 @@ def test_samplers_cross_agree():
 
 
 def test_sample_height_plus_one_examples():
-    assert sample_height_plus_one(1, RngStream(SEED, 0)) == 1
+    assert 1 + _sample_height(RngStream(SEED, 0).draws(), 1, "rejection") == 1
     for i in range(10):
-        v = sample_height_plus_one(2, RngStream(SEED, i), method="prufer")
+        v = 1 + _sample_height(RngStream(SEED, i).draws(), 2, "prufer")
         assert v in (1, 2)
-    with pytest.raises(ValueError):
-        sample_height_plus_one(3, RngStream(SEED, 0), method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        law_equality_report(3, 10, 0, method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        _sample_height(RngStream(SEED, 0).draws(), 3, "bogus")
 
 
 def test_sample_height_plus_one_matches_exact_pmf_n3():
     trials = 40_000
     pmf = exact_height_pmf(3)
     counts = Counter(
-        sample_height_plus_one(3, RngStream(SEED, i), method="prufer")
+        1 + _sample_height(RngStream(SEED, i).draws(), 3, "prufer")
         for i in range(trials)
     )
     for k in (1, 2, 3):
@@ -213,7 +214,7 @@ def _per_trial_tallies(n, seed, start, stop, method):
     h_counts, c_counts = [0] * n, [0] * n
     for trial in range(start, stop):
         gen_h = RngStream(seed, 2 * trial).generator()
-        h_counts[_sample_height(gen_h, n, method).height] += 1
+        h_counts[_sample_height(gen_h, n, method)] += 1
         gen_c = RngStream(seed, 2 * trial + 1).generator()
         c_counts[_sample_collision(gen_c, n) - 1] += 1
     return h_counts, c_counts

@@ -401,6 +401,16 @@ def test_wilson_interval_rejects_a_z_that_is_not_finite_and_positive(z):
         make_estimate(1, 4, z)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_estimate_unique_cyclic_rejects_a_bad_z_before_any_trial(z, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("run_trials was called")
+
+    monkeypatch.setattr(montecarlo, "run_trials", no_trials)
+    with pytest.raises(ValueError, match=f"^z must be finite and > 0, got {z}$"):
+        estimate_unique_cyclic(100, 200_000, 1, z=z)
+
+
 def test_make_estimate_fields():
     est = make_estimate(25, 100, z=2.5)
     assert isinstance(est, Estimate)
