@@ -15,17 +15,15 @@ guarantees:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import NO_PARENT, Mapping, RootedTree, cycle_structure, unique_cyclic_vertex
+from .core import NO_PARENT, Mapping, Record, RootedTree, cycle_structure, unique_cyclic_vertex
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class DoublyRootedTree:
+class DoublyRootedTree(Record):
     """A rooted tree with a distinguished head vertex.
 
     The parent-array root acts as the tail; head and tail may coincide.
@@ -74,8 +72,7 @@ class DoublyRootedTree:
         return cls(RootedTree(n, tail, parent), head)
 
 
-@dataclass(frozen=True)
-class PruferSequence:
+class PruferSequence(Record):
     """A word of length max(n-2, 0) over [1..n]."""
 
     n: int

@@ -10,7 +10,6 @@ toward the root.  Random mappings come from seeded Philox streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -32,8 +31,47 @@ _M32 = 0xFFFFFFFF
 _PURE_DRAWS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Record:
+    """An immutable value whose fields are its annotated names, in order.
+
+    Each subclass gets an ``__init__`` taking the fields by position or
+    keyword, with class-level values as defaults, that stores them and
+    then calls ``__post_init__`` if the class has one.  Records compare,
+    hash and print by class and field values.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        params = ", ".join(f"{f}=_cls.{f}" if f in vars(cls) else f for f in cls._fields)
+        body = "".join(f"    _set(self, {f!r}, {f})\n" for f in cls._fields)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        scope = {"_cls": cls, "_set": object.__setattr__}
+        # one compiled __init__ per class: Python binds the arguments, no per-call loop
+        exec(f"def __init__(self, {params}):\n{body}", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Mapping(Record):
     """A total function f: [n] -> [n], stored as a 1-based lookup table.
 
     ``table[v-1]`` holds f(v).  Instances are immutable and validated on
@@ -75,8 +113,7 @@ class Mapping:
         return cls(n, table)
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(Record):
     """Cyclic vertices and cycle decomposition of a mapping's digraph.
 
     ``cyclic[v-1]`` says whether v lies on a cycle.  Each cycle is
@@ -92,8 +129,7 @@ class CycleStructure:
         return tuple(v for v in range(1, len(self.cyclic) + 1) if self.cyclic[v - 1])
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(Record):
     """A tree on [n] with edges oriented toward a designated root.
 
     ``parent[v-1]`` is the parent of v, with ``NO_PARENT`` (0) in the
@@ -279,8 +315,7 @@ def tree_to_dot(t: RootedTree, *, name: str = "tree") -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(Record):
     """One independent random stream, (master_seed, stream_index).
 
     Distinct indices under the same master seed give statistically

@@ -10,21 +10,19 @@ to about ten seconds at worst.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .bijection import prufer_parent_rows
-from .core import _pointer_doubling
+from .core import Record, _pointer_doubling
 
 MAX_COUNT_N = 8
 MAX_HEIGHT_N = 7
 
 
-@dataclass(frozen=True)
-class ExactCounts:
+class ExactCounts(Record):
     """Exact tallies over all n^n mappings on [n]."""
 
     n: int

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Mapping, mapping_to_dot
+from .core import Mapping, Record, mapping_to_dot
 
 
 class Closure(str, Enum):
@@ -56,8 +55,7 @@ class SmallestLabel(SelectionStrategy):
         return "SmallestLabel()"
 
 
-@dataclass(frozen=True)
-class FixedOrder(SelectionStrategy):
+class FixedOrder(SelectionStrategy, Record):
     """Start rounds following a caller-supplied permutation of [1..n]."""
 
     order: tuple[int, ...]
@@ -68,8 +66,7 @@ class FixedOrder(SelectionStrategy):
         return self.order
 
 
-@dataclass(frozen=True)
-class SeededRandomOrder(SelectionStrategy):
+class SeededRandomOrder(SelectionStrategy, Record):
     """Start rounds in a pseudorandom order determined by a seed."""
 
     seed: int
@@ -80,8 +77,7 @@ class SeededRandomOrder(SelectionStrategy):
         return order
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(Record):
     """One round of the procedure.
 
     ``path`` lists the vertices explored this round in reveal order
@@ -96,8 +92,7 @@ class RoundRecord:
     closure: Closure
 
 
-@dataclass(frozen=True)
-class ExplorationTrace:
+class ExplorationTrace(Record):
     """Full record of an exploration: rounds, cumulative counts, K."""
 
     n: int

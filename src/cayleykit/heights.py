@@ -11,7 +11,6 @@ tallies and the report load numpy, where they run.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .bijection import (
@@ -20,7 +19,7 @@ from .bijection import (
     prufer_parent_rows,
     prufer_parents,
 )
-from .core import Mapping, RngStream, RootedTree, _pointer_doubling, unique_cyclic_vertex
+from .core import Mapping, Record, RngStream, RootedTree, _pointer_doubling, unique_cyclic_vertex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,8 +121,7 @@ def sample_collision_count(n: int, stream: RngStream) -> int:
     return _sample_collision(stream.draws(), n)
 
 
-@dataclass(frozen=True)
-class ChiSquareCheck:
+class ChiSquareCheck(Record):
     """One chi-square comparison inside a law-equality report."""
 
     label: str
@@ -133,11 +131,10 @@ class ChiSquareCheck:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f: getattr(self, f) for f in self._fields}
 
 
-@dataclass(frozen=True)
-class LawEqualityReport:
+class LawEqualityReport(Record):
     """Sampled and exact evidence that 1+H and the collision count agree."""
 
     n: int
@@ -272,6 +269,9 @@ def tally_law_histograms(
     the per-trial sampler on a re-keyed generator.  (The kernels' cost
     per trial grows faster in n: the Prufer decode is O(n^2) per tree.)
     """
+    kernel = _HEIGHT_KERNELS.get(method)
+    if kernel is None:
+        raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
     import numpy as np
     from . import montecarlo
 
@@ -287,7 +287,7 @@ def tally_law_histograms(
         streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64))
         if n <= montecarlo._VECTOR_MAX_N:
             bins = (
-                _HEIGHT_KERNELS[method](n, master_seed, streams),
+                kernel(n, master_seed, streams),
                 _collision_bins(n, master_seed, streams + np.uint64(1)),
             )
         else:

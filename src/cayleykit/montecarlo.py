@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping as MappingABC
 
 import numpy as np
 
 from . import core
-from .core import _PHILOX_W, _U64
+from .core import _PHILOX_W, _U64, Record
 from .core import RngStream, sample_mapping  # re-exported: montecarlo was their home
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     """A binomial point estimate with its Wilson score interval."""
 
     trials: int
@@ -34,11 +32,10 @@ class Estimate:
     z: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {f: getattr(self, f) for f in self._fields}
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Record):
     """Integer-valued counts over a contiguous support range."""
 
     lo: int
@@ -302,8 +299,7 @@ def estimate_unique_cyclic(
     return make_estimate(successes, trials, z)
 
 
-@dataclass(frozen=True)
-class ConditionalBin:
+class ConditionalBin(Record):
     """Empirical vs predicted closure frequency for one (i, T_{i-1}, T_i)."""
 
     round_index: int
@@ -330,8 +326,7 @@ class ConditionalBin:
         }
 
 
-@dataclass(frozen=True)
-class ConditionalReport:
+class ConditionalReport(Record):
     """Per-bin comparison of closure frequencies with their predictions."""
 
     n: int

@@ -160,6 +160,35 @@ def test_samplers_match_golden_bytes(capsys, name, argv):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+M7 = {"n": 7, "table": [2, 3, 1, 5, 5, 4, 1]}
+M12 = {"n": 12, "table": [5, 10, 2, 4, 1, 6, 8, 11, 5, 3, 12, 3]}  # six rounds, every closure kind
+T12 = {"n": 12, "edges": [[1, 6], [2, 4], [3, 12], [4, 1], [5, 3], [6, 8], [7, 5], [8, 11], [9, 10], [10, 2], [11, 5]]}
+STDIN_GOLDENS = [
+    ("trace_n7.json", ["trace"], M7),
+    ("trace_n7.dot", ["trace", "--dot"], M7),
+    ("trace_n12.json", ["trace"], M12),
+    ("trace_n12.dot", ["trace", "--dot"], M12),
+    ("trace_n12_order_seed5.json", ["trace", "--order-seed", "5"], M12),
+    ("prufer_encode_n1.json", ["prufer", "encode"], {"n": 1, "edges": []}),
+    ("prufer_encode_n2.json", ["prufer", "encode"], {"n": 2, "edges": [[1, 2]]}),
+    ("prufer_encode_n12.json", ["prufer", "encode"], T12),
+    ("prufer_decode_n1.json", ["prufer", "decode"], {"n": 1, "seq": []}),
+    ("prufer_decode_n2.json", ["prufer", "decode"], {"n": 2, "seq": []}),
+    ("prufer_decode_n12.json", ["prufer", "decode"], "prufer_encode_n12.json"),
+    ("joyal_encode_n12.json", ["joyal", "encode"], M12),
+    ("joyal_decode_n12.json", ["joyal", "decode"], "joyal_encode_n12.json"),
+]
+
+
+@pytest.mark.parametrize("name, argv, doc", STDIN_GOLDENS, ids=[g[0] for g in STDIN_GOLDENS])
+def test_trace_prufer_joyal_match_golden_bytes(capsys, name, argv, doc):
+    # stdout recorded from the frozen-dataclass records; a decode reads its encode golden
+    stdin = (GOLDEN / doc).read_text() if isinstance(doc, str) else json.dumps(doc)
+    code, out, err = run_stdin(capsys, argv, stdin)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def test_enumerate_json_document(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--json")
     assert code == 0
@@ -527,7 +556,7 @@ def test_pure_python_commands_start_without_numpy(capsys):
     for (argv, stdin), result in zip(calls[:-1], results):
         assert result == run_stdin(capsys, argv, stdin)
         assert result[0] == 0
-    assert results[-1][:2] == (0, "cayleykit 0.4.0\n")
+    assert results[-1][:2] == (0, "cayleykit 0.5.0\n")
 
 
 @pytest.mark.parametrize(

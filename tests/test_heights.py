@@ -296,3 +296,16 @@ def test_law_equality_report_validates_n_first():
         for method in ("prufer", "rejection"):
             with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
                 law_equality_report(n, 10, SEED, method=method)
+
+
+@pytest.mark.parametrize("n", [5, 300])  # the vectorised kernels, then the per-trial samplers
+def test_tally_law_histograms_rejects_an_unknown_method_before_any_trial(monkeypatch, n):
+    def no_trial(*args):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(heights, "_HEIGHT_KERNELS", {"prufer": no_trial, "rejection": no_trial})
+    for name in ("_collision_bins", "_sample_height", "_sample_collision"):
+        monkeypatch.setattr(heights, name, no_trial)
+    with pytest.raises(ValueError) as info:
+        heights.tally_law_histograms(n, 1, 0, 3, "bogus")
+    assert str(info.value) == "unknown method 'bogus'; use 'rejection' or 'prufer'"

@@ -1,6 +1,9 @@
 """The package's lazy import surface: names resolve on first access."""
 
 import importlib
+import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -59,6 +62,48 @@ def test_single_object_samplers_start_without_numpy():
     assert out.stdout == "[False, False, False, False, False]\n"
 
 
+# Runs each command through cli.main in one interpreter started with -S
+# (no site hook may add modules) and prints which of the modules that only
+# dataclasses would pull in were loaded.
+_SHORT_COMMANDS = """
+import contextlib, io, json, sys
+from cayleykit.cli import main
+mapping = json.dumps({"n": 7, "table": [2, 3, 1, 5, 5, 4, 1]})
+calls = [
+    ("--version", ""), ("sample-function --n 12", ""), ("sample-tree --n 30", ""),
+    ("sample-tree --n 30 --method prufer", ""), ("trace", mapping), ("trace --dot", mapping),
+    ("prufer encode", json.dumps({"n": 4, "edges": [[1, 4], [2, 4], [3, 4]]})),
+    ("prufer decode", json.dumps({"n": 4, "seq": [4, 4]})),
+    ("joyal encode", mapping), ("joyal decode", json.dumps({"n": 2, "head": 2, "tail": 1, "parent": [0, 1]})),
+]
+for argv, stdin in calls:
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv.split())
+        except SystemExit as exc:  # --version
+            code = exc.code
+    assert code == 0, argv
+print(sorted(m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules))
+"""
+
+
+def test_short_commands_import_neither_dataclasses_nor_inspect():
+    src = pathlib.Path(cayleykit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-S", "-c", _SHORT_COMMANDS], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    package = pathlib.Path(cayleykit.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path.name
+
+
 def test_public_names_unchanged_and_resolve():
     assert sorted(cayleykit.__all__) == PUBLIC_NAMES
     for name in cayleykit.__all__:
@@ -71,7 +116,7 @@ def test_star_import_binds_the_home_modules_objects():
     homes = [importlib.import_module(f"cayleykit.{layer}") for layer in LAYERS]
     for name in PUBLIC_NAMES:
         if name == "__version__":
-            assert namespace[name] == "0.4.0"
+            assert namespace[name] == "0.5.0"
             continue
         assert any(vars(home).get(name) is namespace[name] for home in homes), name
 
