@@ -9,7 +9,7 @@ pays for numpy.
 
 import importlib
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 _HOMES = {
     "core": (

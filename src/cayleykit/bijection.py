@@ -67,7 +67,7 @@ class DoublyRootedTree(Record):
             head = int(d["head"])
             tail = int(d["tail"])
             parent = tuple(int(x) for x in d["parent"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid doubly-rooted tree JSON: {exc}") from exc
         return cls(RootedTree(n, tail, parent), head)
 
@@ -99,7 +99,7 @@ class PruferSequence(Record):
     def from_json_dict(cls, d: dict) -> "PruferSequence":
         try:
             return cls(int(d["n"]), tuple(int(x) for x in d["seq"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid Prufer JSON: {exc}") from exc
 
 
@@ -162,9 +162,12 @@ def joyal_decode(d: DoublyRootedTree) -> Mapping:
 
 
 def _normalize_edges(n: int, edges) -> list[tuple[int, int]]:
+    try:
+        pairs = [(int(u), int(v)) for u, v in edges]
+    except (TypeError, ValueError, OverflowError) as exc:  # not pairs of integers
+        raise ValueError(f"invalid edge list: {exc}") from exc
     out = []
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
+    for u, v in pairs:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge ({u},{v}) out of range [1..{n}]")
         if u == v:

@@ -131,6 +131,8 @@ def cmd_verify_cayley(args) -> int:
 
 def cmd_check_conditionals(args) -> int:
     _require_counts(args, "trials", "jobs", "n")
+    if args.min_obs < 0:
+        raise ValueError(f"min_obs must be >= 0, got {args.min_obs}")
     from .montecarlo import check_round_conditionals
     report = check_round_conditionals(args.n, args.trials, args.seed, jobs=args.jobs)
     flagged = report.flagged_bins(args.min_obs)
@@ -225,7 +227,7 @@ def cmd_prufer(args) -> int:
         try:
             n = int(doc["n"])
             edges = doc["edges"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid edge-list JSON: {exc}") from exc
         seq = prufer_encode(n, edges)
         _emit_json(args, seq.to_json_dict())

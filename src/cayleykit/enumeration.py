@@ -126,16 +126,15 @@ def exact_counts(n: int) -> ExactCounts:
         pairs = unique_cyclic * n  # (rooted tree, vertex) pairs
         height_pmf = tuple(Fraction(int(c), pairs) for c in height_tally)
     # one chunk of words per leading entry bounds the decoder's memory;
-    # slot n-1 of a parent row is always -1
-    codes = [
-        np.unique(prufer_parent_rows(words, n)[:, : n - 1] @ n ** np.arange(n - 1))
-        for words in _word_chunks(n, max(n - 2, 0), max(n - 3, 0))
-    ]
+    # slot n-1 of a parent row is always -1, so a row's code is below n^(n-1)
+    seen = np.zeros(n ** (n - 1), dtype=bool)
+    for words in _word_chunks(n, max(n - 2, 0), max(n - 3, 0)):
+        seen[prufer_parent_rows(words, n)[:, : n - 1] @ n ** np.arange(n - 1)] = True
     return ExactCounts(
         n=n,
         total_mappings=total,
         unique_cyclic=unique_cyclic,
-        labelled_trees=len(np.unique(np.concatenate(codes))),
+        labelled_trees=int(seen.sum()),
         by_cycle_count={cycles: int(c) for cycles, c in enumerate(cycle_tally) if c},
         height_pmf=height_pmf,
     )

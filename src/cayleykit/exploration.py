@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Mapping, Record, mapping_to_dot
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Closure(str, Enum):
@@ -226,6 +228,8 @@ def conditional_event_probabilities(
     must attach to the T_{i-1} previously explored vertices (chance
     T_{i-1}/T_i).  Accepts a trace or a bare cumulative-count sequence.
     """
+    from fractions import Fraction  # with decimal, a cost that trace never needs
+
     T = tuple(t.T) if isinstance(t, ExplorationTrace) else tuple(t)
     if not T:
         raise ValueError("T must be non-empty")

@@ -11,6 +11,7 @@ tallies and the report load numpy, where they run.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .bijection import (
@@ -30,6 +31,9 @@ if TYPE_CHECKING:
 #: Hard cap on rejection attempts; a healthy sampler at size n succeeds
 #: after n attempts on average, so hitting this means the RNG is broken.
 ATTEMPT_CAP_FACTOR = 10_000
+
+_EPS = 2.0**-53  # half the spacing of floats at 1
+_TINY = 1e-300  # stands in for a zero denominator in Lentz's method
 
 
 def _attempt_cap_error(n: int) -> RuntimeError:
@@ -305,14 +309,88 @@ def _merge_histograms(parts) -> tuple[list[int], list[int]]:
     return [sum(c) for c in zip(*h_parts)], [sum(c) for c in zip(*c_parts)]
 
 
-def _critical_value(df: int, level: float) -> float:
-    if df <= 0:
-        return 0.0
-    # scipy.stats' own chi2.ppf; importing scipy.stats would set the
-    # process's peak memory, and scipy dominates import time
-    from scipy.special import gammaincinv
+def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
+    """(P(a, x), Q(a, x), x^a e^-x / Gamma(a)) for a, x > 0; P + Q = 1.
 
-    return float(2 * gammaincinv(df / 2, level))
+    P by its power series below x = a + 1, Q by Legendre's continued
+    fraction (modified Lentz) above.  The factor x^a e^-x / Gamma(a) is
+    exp(a (log(x/a) - d) + log(a / 2 pi) / 2 - stirling(a)), d = (x-a)/a,
+    whose log1p(d) - d keeps full accuracy near x = a at large a, where
+    a log x - x - lgamma(a) cancels to a few units.
+    """
+    if a < 15:
+        log_factor = a * math.log(x) - x - math.lgamma(a)
+    else:
+        d, s = (x - a) / a, 1 / (a * a)
+        log_ratio = math.log1p(d) if d > -0.5 else math.log(x / a)
+        # Stirling's series: lgamma(a) - ((a - 1/2) log a - a + log(2 pi) / 2)
+        stirling = (1 / 12 - s * (1 / 360 - s * (1 / 1260 - s * (1 / 1680 - s / 1188)))) / a
+        log_factor = a * (log_ratio - d) + 0.5 * math.log(a / (2 * math.pi)) - stirling
+    factor = math.exp(log_factor)
+    if x < a + 1:
+        term = total = 1 / a
+        k = a
+        while term > total * _EPS:
+            k += 1
+            term *= x / k
+            total += term
+        return factor * total, 1 - factor * total, factor
+    b, c, i = x + 1 - a, 1 / _TINY, 0
+    h = d = 1 / b
+    while abs(c * d - 1) > _EPS:
+        i += 1
+        an, b = i * (a - i), b + 2
+        d = 1 / (an * d + b or _TINY)
+        c = b + an / c or _TINY
+        h *= c * d
+    return 1 - factor * h, factor * h, factor
+
+
+def _critical_value(df: int, level: float) -> float:
+    """The chi-square quantile at level: 2 P^-1(df/2, level), P the regularized
+    lower incomplete gamma, as scipy.special.gammaincinv gives it.
+
+    Halley steps on P, or on Q = 1 - P above level 0.5, from the
+    Wilson-Hilferty cube (or x^a ~ level Gamma(a+1) deep in the lower
+    tail), kept inside the bracket the iterates have found.  The steps
+    shrink fast until rounding noise; a step that stops shrinking, once
+    below 1e-9 x, ends the search.  df <= 0 gives 0.
+    """
+    if not 0 <= level <= 1:  # NaN too
+        raise ValueError(f"level must be in [0, 1], got {level}")
+    if df <= 0 or level == 0:
+        return 0.0
+    if level == 1:
+        return math.inf
+    a, upper = df / 2, level > 0.5
+    # a normal quantile to 4.5e-4 (Abramowitz and Stegun 26.2.23) for the start
+    t = math.sqrt(-2 * math.log(1 - level if upper else level))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    cube = 1 - 2 / (9 * df) + (z if upper else -z) * math.sqrt(2 / (9 * df))
+    if upper or cube > 0.5:
+        x = a * cube**3
+    else:
+        x = math.exp((math.log(level) + math.lgamma(a + 1)) / a)
+    lo, hi, last = 0.0, math.inf, math.inf
+    for _ in range(100):
+        if x == 0:  # below the smallest float
+            break
+        p, q, factor = _gamma_tails(a, x)
+        g = (1 - level) - q if upper else p - level  # increasing in x, derivative factor / x
+        if g == 0:
+            break
+        lo, hi = (lo, x) if g > 0 else (x, hi)
+        newton = g * x / factor
+        step = newton / (1 - 0.5 * newton * ((a - 1) / x - 1))
+        if x - step == x or abs(step) >= abs(last) and abs(step) < 1e-9 * x:
+            break
+        last = step
+        x -= step
+        if not lo < x < hi:  # Halley overshot: bisect the bracket, or double while it is open
+            x = (lo + hi) / 2 if hi < math.inf else 2 * lo
+    return 2 * x
 
 
 def law_equality_report(
@@ -339,6 +417,7 @@ def law_equality_report(
         raise ValueError(f"n must be >= 1, got {n}")
     if method not in _HEIGHT_KERNELS:
         raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
+    _critical_value(0, level)  # checks the level before any trial runs
     h_counts, c_counts = run_trials(
         tally_law_histograms, n, master_seed, trials, jobs, _merge_histograms, method
     )

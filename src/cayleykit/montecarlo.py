@@ -454,6 +454,30 @@ def check_round_conditionals(
     return ConditionalReport(n, trials, master_seed, tuple(bins), se_threshold)
 
 
+def _pool_tail(bins: Iterable[tuple], size) -> tuple[list[tuple], int]:
+    """The bins in order, those with size(bin) below 5 summed into one tail,
+    and the degrees of freedom, the pooled bin count minus one.
+
+    A nonzero tail is a bin of its own when its size reaches 5 or no
+    other bin is kept, and joins the last kept bin otherwise.  One
+    pooled bin gives df 0 and a degenerate-input warning.
+    """
+    kept: list[tuple] = []
+    tail = None
+    for b in bins:
+        if size(b) >= 5.0:
+            kept.append(b)
+        else:
+            tail = b if tail is None else tuple(t + x for t, x in zip(tail, b))
+    if tail is not None and any(tail):
+        if kept and size(tail) < 5.0:
+            tail = tuple(k + t for k, t in zip(kept.pop(), tail))
+        kept.append(tail)
+    if len(kept) == 1:
+        warnings.warn("all probability mass merged into one bin; df=0", stacklevel=3)
+    return kept, len(kept) - 1
+
+
 def chi_square_statistic(
     h: Histogram, pmf: MappingABC[int, Fraction | float]
 ) -> tuple[float, int]:
@@ -469,26 +493,9 @@ def chi_square_statistic(
     for v in h.support():
         if h.count_of(v) > 0 and float(pmf.get(v, 0.0)) <= 0.0:
             raise ValueError(f"pmf does not cover histogram value {v}")
-    kept: list[tuple[int, float]] = []  # (observed, expected), in value order
-    tail_obs = 0
-    tail_exp = 0.0
-    for v in sorted(pmf):
-        exp = float(pmf[v]) * h.total
-        obs = h.count_of(v)
-        if exp >= 5.0:
-            kept.append((obs, exp))
-        else:
-            tail_obs += obs
-            tail_exp += exp
-    if tail_exp > 0.0 or tail_obs > 0:
-        if tail_exp >= 5.0 or not kept:
-            kept.append((tail_obs, tail_exp))
-        else:
-            obs, exp = kept[-1]
-            kept[-1] = (obs + tail_obs, exp + tail_exp)
-    df = len(kept) - 1
-    if df == 0:
-        warnings.warn("all probability mass merged into one bin; df=0", stacklevel=2)
+    kept, df = _pool_tail(
+        ((h.count_of(v), float(pmf[v]) * h.total) for v in sorted(pmf)), lambda b: b[1]
+    )
     statistic = sum((obs - exp) ** 2 / exp for obs, exp in kept if exp > 0)
     return statistic, df
 
@@ -502,33 +509,16 @@ def two_sample_chi_square(h1: Histogram, h2: Histogram) -> tuple[float, int]:
     """
     if h1.total < 1 or h2.total < 1:
         raise ValueError("histograms must be non-empty")
-    lo = min(h1.lo, h2.lo)
-    hi = max(h1.hi, h2.hi)
     n1, n2 = h1.total, h2.total
     grand = n1 + n2
-    kept: list[tuple[int, int]] = []
-    tail = (0, 0)
-    for v in range(lo, hi + 1):
-        o1, o2 = h1.count_of(v), h2.count_of(v)
-        pooled = o1 + o2
-        if pooled == 0:
-            continue
-        if min(n1, n2) * pooled / grand >= 5.0:
-            kept.append((o1, o2))
-        else:
-            tail = (tail[0] + o1, tail[1] + o2)
-    if tail != (0, 0):
-        if not kept or min(n1, n2) * (tail[0] + tail[1]) / grand >= 5.0:
-            kept.append(tail)
-        else:
-            kept[-1] = (kept[-1][0] + tail[0], kept[-1][1] + tail[1])
+    kept, df = _pool_tail(
+        ((h1.count_of(v), h2.count_of(v)) for v in range(min(h1.lo, h2.lo), max(h1.hi, h2.hi) + 1)),
+        lambda b: min(n1, n2) * (b[0] + b[1]) / grand,
+    )
     statistic = 0.0
     for o1, o2 in kept:
         pooled = o1 + o2
         e1 = n1 * pooled / grand
         e2 = n2 * pooled / grand
         statistic += (o1 - e1) ** 2 / e1 + (o2 - e2) ** 2 / e2
-    df = len(kept) - 1
-    if df == 0:
-        warnings.warn("all probability mass merged into one bin; df=0", stacklevel=2)
     return statistic, df

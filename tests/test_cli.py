@@ -556,7 +556,7 @@ def test_pure_python_commands_start_without_numpy(capsys):
     for (argv, stdin), result in zip(calls[:-1], results):
         assert result == run_stdin(capsys, argv, stdin)
         assert result[0] == 0
-    assert results[-1][:2] == (0, "cayleykit 0.5.0\n")
+    assert results[-1][:2] == (0, "cayleykit 0.6.0\n")
 
 
 @pytest.mark.parametrize(
@@ -600,3 +600,20 @@ def test_cli_warnings_are_plain_lines():
     assert json.loads(out.stdout)["passed"] is True
     assert out.stderr == "warning: all probability mass merged into one bin; df=0\n" * 2
     assert ".py:" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["prufer", "encode"], '{"n": 5, "edges": [[1]]}',
+         "invalid edge list: not enough values to unpack (expected 2, got 1)"),
+        (["prufer", "encode"], '{"n": 5, "edges": 5}', "invalid edge list: 'int' object is not iterable"),
+        (["prufer", "encode"], '{"n": 1e400, "edges": []}',
+         "invalid edge-list JSON: cannot convert float infinity to integer"),
+        (["trace"], '{"n": 1e400, "table": [1]}', "invalid mapping JSON: cannot convert float infinity to integer"),
+        (["check-conditionals", "--n", "5", "--trials", "10", "--min-obs", "-5"], "", "min_obs must be >= 0, got -5"),
+    ],
+    ids=["edge-too-short", "edges-not-a-list", "prufer-n-infinite", "trace-n-infinite", "negative-min-obs"],
+)
+def test_malformed_input_exits_2_with_one_error_line(capsys, argv, stdin, message):
+    assert run_stdin(capsys, argv, stdin) == (2, "", f"error: {message}\n")

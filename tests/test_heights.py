@@ -309,3 +309,49 @@ def test_tally_law_histograms_rejects_an_unknown_method_before_any_trial(monkeyp
     with pytest.raises(ValueError) as info:
         heights.tally_law_histograms(n, 1, 0, 3, "bogus")
     assert str(info.value) == "unknown method 'bogus'; use 'rejection' or 'prufer'"
+
+
+def test_critical_value_matches_scipy_chi2_quantile():
+    from scipy.special import gammaincinv
+    levels = (0.9, 0.95, 0.99, 0.999, 0.9999)
+    dfs = np.arange(1, 2001)
+    for level in levels:
+        want = 2 * gammaincinv(dfs / 2, level)
+        got = np.array([heights._critical_value(int(df), level) for df in dfs])
+        assert (np.abs(got - want) / want).max() <= 1e-12, level
+
+
+@pytest.mark.parametrize("df", [1, 2, 7, 40, 301, 5000, 10**5])
+def test_critical_value_matches_scipy_at_every_level(df):
+    # lower levels solve on P, from x^a ~ level Gamma(a+1) deep in the tail
+    from scipy.special import gammaincinv
+    for level in (1e-300, 1e-20, 1e-3, 0.1, 0.5, 0.7, 1 - 1e-10):
+        want = 2 * gammaincinv(df / 2, level)
+        assert heights._critical_value(df, level) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("df", [10**7, 10**8, 10**9])
+def test_critical_value_keeps_its_accuracy_at_large_df(df):
+    # here the plain a log x - x - lgamma(a) would put the quantile off by 2e-12 to 5e-11
+    from scipy.special import gammaincinv
+    for level in (0.9, 0.999):
+        want = 2 * gammaincinv(df / 2, level)
+        assert heights._critical_value(df, level) == pytest.approx(want, rel=1e-12)
+
+
+def test_critical_value_edges():
+    assert heights._critical_value(0, 0.999) == heights._critical_value(-4, 0.5) == 0.0
+    assert heights._critical_value(3, 0.0) == 0.0
+    assert heights._critical_value(3, 1.0) == math.inf
+
+
+@pytest.mark.parametrize("level", [math.nan, -0.5, 1.5, math.inf])
+def test_a_bad_level_is_rejected_before_any_trial(monkeypatch, level):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(montecarlo, "run_trials", no_trial)
+    with pytest.raises(ValueError, match="level must be in"):
+        law_equality_report(20, 100, SEED, level=level)
+    with pytest.raises(ValueError, match="level must be in"):
+        heights._critical_value(5, level)

@@ -96,12 +96,40 @@ def test_short_commands_import_neither_dataclasses_nor_inspect():
     assert out.stdout == "[]\n"
 
 
-def test_no_module_imports_dataclasses():
+def _modules_importing(name):
     package = pathlib.Path(cayleykit.__file__).resolve().parent
     sources = sorted(package.glob("*.py"))
     assert len(sources) >= 8
-    for path in sources:
-        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path.name
+    pattern = rf"^\s*(from|import)\s+{name}\b"
+    return [path.name for path in sources if re.search(pattern, path.read_text(), re.M)]
+
+
+def test_no_module_imports_dataclasses():
+    assert _modules_importing("dataclasses") == []
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: the oracle for the chi-square quantile
+    assert _modules_importing("scipy") == []
+
+
+@pytest.mark.parametrize(
+    "argv, banned",
+    [("heights --n 20 --trials 200", "scipy"), ("enumerate --n 5", "numpy.ma")],
+)
+def test_a_fresh_numeric_command_never_loads(argv, banned):
+    code = (
+        "import contextlib, io, sys\n"
+        "from cayleykit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv.split()!r}) == 0\n"
+        f"print(sorted(m for m in sys.modules if m == {banned!r} or m.startswith({banned + '.'!r})))"
+    )
+    src = pathlib.Path(cayleykit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_public_names_unchanged_and_resolve():
@@ -116,7 +144,7 @@ def test_star_import_binds_the_home_modules_objects():
     homes = [importlib.import_module(f"cayleykit.{layer}") for layer in LAYERS]
     for name in PUBLIC_NAMES:
         if name == "__version__":
-            assert namespace[name] == "0.5.0"
+            assert namespace[name] == "0.6.0"
             continue
         assert any(vars(home).get(name) is namespace[name] for home in homes), name
 
