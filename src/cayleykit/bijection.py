@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING
 
-from .core import NO_PARENT, Mapping, Record, RootedTree, cycle_structure, unique_cyclic_vertex
+from .core import NO_PARENT, Mapping, Record, RootedTree, _json_int, cycle_structure, unique_cyclic_vertex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,10 +63,10 @@ class DoublyRootedTree(Record):
     @classmethod
     def from_json_dict(cls, d: dict) -> "DoublyRootedTree":
         try:
-            n = int(d["n"])
-            head = int(d["head"])
-            tail = int(d["tail"])
-            parent = tuple(int(x) for x in d["parent"])
+            n = _json_int(d["n"])
+            head = _json_int(d["head"])
+            tail = _json_int(d["tail"])
+            parent = tuple(_json_int(x) for x in d["parent"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid doubly-rooted tree JSON: {exc}") from exc
         return cls(RootedTree(n, tail, parent), head)
@@ -98,7 +98,7 @@ class PruferSequence(Record):
     @classmethod
     def from_json_dict(cls, d: dict) -> "PruferSequence":
         try:
-            return cls(int(d["n"]), tuple(int(x) for x in d["seq"]))
+            return cls(_json_int(d["n"]), tuple(_json_int(x) for x in d["seq"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid Prufer JSON: {exc}") from exc
 
@@ -163,7 +163,7 @@ def joyal_decode(d: DoublyRootedTree) -> Mapping:
 
 def _normalize_edges(n: int, edges) -> list[tuple[int, int]]:
     try:
-        pairs = [(int(u), int(v)) for u, v in edges]
+        pairs = [(_json_int(u), _json_int(v)) for u, v in edges]
     except (TypeError, ValueError, OverflowError) as exc:  # not pairs of integers
         raise ValueError(f"invalid edge list: {exc}") from exc
     out = []
@@ -205,6 +205,8 @@ def prufer_encode(n: int, edges) -> PruferSequence:
     Smallest-leaf convention: repeatedly delete the lowest-labelled
     leaf and record its neighbour, until two vertices remain.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     edges = _normalize_edges(n, edges)
     _validate_tree(n, edges)
     if n <= 2:

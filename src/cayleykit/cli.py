@@ -7,8 +7,9 @@ in two cases: a statistical verification failed (its report is on
 stdout), or the rejection sampler hit its attempt cap, which means a
 broken random source (an ``error:`` line on stderr, nothing on stdout).
 Each command imports the layers it uses, so ``trace``, ``prufer``,
-``joyal``, ``sample-function`` and ``sample-tree`` start without numpy
-(the samplers load it only for a stream longer than 2**16 draws).
+``joyal``, ``enumerate`` up to n = 5, ``sample-function`` and
+``sample-tree`` start without numpy (the samplers load it only for a
+stream longer than 2**16 draws).
 """
 
 from __future__ import annotations
@@ -222,10 +223,11 @@ def cmd_heights(args) -> int:
 
 def cmd_prufer(args) -> int:
     from .bijection import PruferSequence, prufer_decode, prufer_encode
+    from .core import _json_int
     doc = _read_json(args.input)
     if args.direction == "encode":
         try:
-            n = int(doc["n"])
+            n = _json_int(doc["n"])
             edges = doc["edges"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid edge-list JSON: {exc}") from exc

@@ -80,6 +80,20 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _json_int(value) -> int:
+    """value if it is an int, as every JSON reader here wants its integers.
+
+    A bool, a float (2.0 too), a string, a list or any other value raises
+    TypeError, so a reader never truncates or parses what it was given.
+    An infinity (JSON's 1e400) or NaN raises int()'s own error.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is float:
+        int(value)  # raises OverflowError or ValueError when not finite
+    raise TypeError(f"expected an integer, got {value!r}")
+
+
 class Mapping(Record):
     """A total function f: [n] -> [n], stored as a 1-based lookup table.
 
@@ -115,8 +129,8 @@ class Mapping(Record):
     @classmethod
     def from_json_dict(cls, d: dict) -> "Mapping":
         try:
-            n = int(d["n"])
-            table = tuple(int(x) for x in d["table"])
+            n = _json_int(d["n"])
+            table = tuple(_json_int(x) for x in d["table"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid mapping JSON: {exc}") from exc
         return cls(n, table)
@@ -267,24 +281,37 @@ def unique_cyclic_vertex(m: Mapping) -> int | None:
     return root
 
 
-def _pointer_doubling(tables: np.ndarray, fold=None, values=None):
+def _pointer_doubling(tables: np.ndarray, fold=None, values=None, buffers=None):
     """(g, values) after pointer doubling each row of 0-based tables, on flat indices.
 
     Row r's entries are offset by r * n, so g = g[g] squares every row
     at once: after t squarings g = f^(2^t).  The loop stops at the first
     2^t >= n, where g maps every vertex onto the cyclic set, and onto
     the whole of it.  With a fold (np.minimum, np.add), each squaring
-    first sets values = fold(values, values[g]), so a value per flat
+    first folds values[g] into values, in place, so a value per flat
     vertex ends as the fold of its values over f^k(v), k < 2^t.
+
+    buffers are three 1-D intp arrays of at least m * n entries: g and
+    its ping-pong partner, and the gather buffer for values[g].  A
+    caller that passes its own reuses them across calls, and g is then
+    a view of one of them.  Without, each is allocated at its first use
+    and reused from then on (allocating all three up front measured
+    slower).  Gathers use np.take with mode="wrap" (every index is in
+    range), as with mode="raise" numpy copies out= through a temporary.
     """
     import numpy as np
 
     m, n = tables.shape
-    g = (tables + n * np.arange(m)[:, None]).ravel()
+    if buffers is None:
+        g, spare, gathered = np.empty(m * n, np.intp), None, None
+    else:
+        g, spare, gathered = (b[: m * n] for b in buffers)
+    np.add(tables, n * np.arange(m)[:, None], out=g.reshape(m, n))
     for _ in range(max(1, (n - 1).bit_length())):
         if fold is not None:
-            values = fold(values, values[g])
-        g = g[g]
+            gathered = np.take(values, g, out=gathered, mode="wrap")
+            fold(values, gathered, out=values)
+        g, spare = np.take(g, g, out=spare, mode="wrap"), g
     return g, values
 
 

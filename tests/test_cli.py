@@ -549,6 +549,7 @@ def test_pure_python_commands_start_without_numpy(capsys):
         (["prufer", "decode"], json.dumps({"n": 5, "seq": [2, 2, 4]})),
         (["joyal", "encode"], mapping),
         (["joyal", "decode"], json.dumps({"n": 3, "head": 2, "tail": 1, "parent": [0, 1, 2]})),
+        (["enumerate", "--n", "5"], ""),
         (["--version"], ""),
     ]
     numpy_loaded, results = run_fresh(calls)
@@ -616,4 +617,40 @@ def test_cli_warnings_are_plain_lines():
     ids=["edge-too-short", "edges-not-a-list", "prufer-n-infinite", "trace-n-infinite", "negative-min-obs"],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv, stdin, message):
+    assert run_stdin(capsys, argv, stdin) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["prufer", "encode"], '{"n": 3, "edges": ["12", "23"]}', "invalid edge list: expected an integer, got '1'"),
+        (["prufer", "encode"], '{"n": 3, "edges": [[1.7, 2], [2, 3]]}', "invalid edge list: expected an integer, got 1.7"),
+        (["prufer", "encode"], '{"n": 3, "edges": [[true, 2], [2, 3]]}', "invalid edge list: expected an integer, got True"),
+        (["prufer", "encode"], '{"n": 3, "edges": [[1, 2], [2, 3e0]]}', "invalid edge list: expected an integer, got 3.0"),
+        (["prufer", "encode"], '{"n": "3", "edges": [[1, 2], [2, 3]]}',
+         "invalid edge-list JSON: expected an integer, got '3'"),
+        (["prufer", "encode"], '{"n": 0, "edges": []}', "n must be >= 1, got 0"),
+        (["prufer", "encode"], '{"n": -2, "edges": []}', "n must be >= 1, got -2"),
+        (["trace"], '{"n": 2, "table": [1.5, 2]}', "invalid mapping JSON: expected an integer, got 1.5"),
+        (["trace"], '{"n": 2, "table": "12"}', "invalid mapping JSON: expected an integer, got '1'"),
+        (["trace"], '{"n": 2, "table": [[1], 2]}', "invalid mapping JSON: expected an integer, got [1]"),
+        (["joyal", "encode"], '{"n": 2, "table": [true, 2]}', "invalid mapping JSON: expected an integer, got True"),
+        (["joyal", "decode"], '{"n": 2, "head": 2.0, "tail": 1, "parent": [0, 1]}',
+         "invalid doubly-rooted tree JSON: expected an integer, got 2.0"),
+        (["joyal", "decode"], '{"n": 2, "head": 2, "tail": 1, "parent": [0, -Infinity]}',
+         "invalid doubly-rooted tree JSON: cannot convert float infinity to integer"),
+        (["prufer", "decode"], '{"n": 3, "seq": [1.5]}', "invalid Prufer JSON: expected an integer, got 1.5"),
+        (["prufer", "decode"], '{"n": 3, "seq": [NaN]}', "invalid Prufer JSON: cannot convert float NaN to integer"),
+        (["prufer", "decode"], '{"n": 3, "seq": [false]}', "invalid Prufer JSON: expected an integer, got False"),
+    ],
+    ids=[
+        "edges-of-strings", "edge-float", "edge-bool", "edge-integral-float", "prufer-n-string",
+        "prufer-n-zero", "prufer-n-negative", "trace-float", "trace-table-string", "trace-nested",
+        "joyal-encode-bool", "joyal-decode-float", "joyal-decode-infinite", "prufer-decode-float",
+        "prufer-decode-nan", "prufer-decode-bool",
+    ],
+)
+def test_json_integers_are_read_strictly(capsys, argv, stdin, message):
+    # no bool, float or string is truncated or parsed into an integer, a
+    # non-positive n is named as such, and a non-finite number keeps int()'s message
     assert run_stdin(capsys, argv, stdin) == (2, "", f"error: {message}\n")

@@ -249,3 +249,32 @@ def test_spans_above_2_32_go_to_numpy(before):
     assert draws._gen is not None
     assert np.array_equal(draws.integers(0, 2**40, size=5), gen.integers(0, 2**40, size=5))
     assert np.array_equal(draws.integers(0, 7, size=5), gen.integers(0, 7, size=5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_pointer_doubling_into_caller_buffers_equals_the_allocating_call(n):
+    rng = np.random.default_rng(n)
+    # buffers longer than one call needs, reused by every call below
+    buffers = [np.full(400 * n, -7, np.intp) for _ in range(3)]
+    for m in (1, 300, 40):
+        tables = rng.integers(0, n, size=(m, n))
+        values = rng.integers(0, 1000, size=m * n)
+        g, no_values = core._pointer_doubling(tables)
+        assert no_values is None
+        assert np.array_equal(core._pointer_doubling(tables, buffers=buffers)[0], g)
+        for fold in (np.minimum, np.add):
+            g, folded = core._pointer_doubling(tables, fold, values.copy())
+            in_buffers = core._pointer_doubling(tables, fold, values.copy(), buffers)
+            assert np.array_equal(in_buffers[0], g)
+            assert np.array_equal(in_buffers[1], folded)
+        # g and the np.add fold (the loop's last) from the tables themselves:
+        # g = f^(2^t) and the sum of values over f^k(v), k < 2^t
+        steps = 1 << max(1, (n - 1).bit_length())
+        v = np.tile(np.arange(n), m)
+        rows = np.repeat(np.arange(m), n)
+        expected = np.zeros(m * n, dtype=values.dtype)
+        for _ in range(steps):
+            expected += values[rows * n + v]
+            v = tables[rows, v]
+        assert np.array_equal(folded, expected)
+        assert np.array_equal(g, rows * n + v)

@@ -1,3 +1,5 @@
+import json
+import pathlib
 from fractions import Fraction
 from math import comb
 
@@ -16,7 +18,7 @@ from cayleykit import (
     mapping_to_rooted_tree,
     unique_cyclic_vertex,
 )
-from cayleykit.enumeration import _table_stats
+from cayleykit.enumeration import _array_counts, _scalar_counts, _table_stats
 
 from conftest import all_mappings, all_tables
 
@@ -121,6 +123,33 @@ def test_exact_counts_match_closed_forms():
         assert all(type(x) is int for x in
                    (c.total_mappings, c.unique_cyclic, c.labelled_trees))
         assert (c.height_pmf is None) == (n > 7)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _golden_counts(n):
+    return json.loads((GOLDEN / f"enumerate_n{n}.json").read_text())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_scalar_and_array_routes_agree_with_the_goldens(n):
+    scalar, array = _scalar_counts(n), _array_counts(n)
+    assert scalar == array
+    assert scalar.to_json_dict() == _golden_counts(n)
+    assert all(type(v) is int for v in scalar.by_cycle_count.values())
+    assert all(type(v) is int for v in array.by_cycle_count.values())
+
+
+def test_exact_counts_leaves_no_state_between_calls():
+    # each call builds its own working arrays; n = 6 after 7 uses smaller chunks
+    exact_counts.cache_clear()
+    first = exact_counts(7)
+    assert exact_counts(6).to_json_dict() == _golden_counts(6)
+    exact_counts.cache_clear()
+    again = exact_counts(7)
+    assert again is not first
+    assert first.to_json_dict() == again.to_json_dict() == _golden_counts(7)
 
 
 def test_exact_counts_guard():

@@ -115,7 +115,8 @@ def test_no_module_imports_scipy():
 
 @pytest.mark.parametrize(
     "argv, banned",
-    [("heights --n 20 --trials 200", "scipy"), ("enumerate --n 5", "numpy.ma")],
+    [("heights --n 20 --trials 200", "scipy"), ("enumerate --n 5", "numpy.ma"),
+     ("enumerate --n 6", "numpy.ma")],
 )
 def test_a_fresh_numeric_command_never_loads(argv, banned):
     code = (
