@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING
 
-from .core import NO_PARENT, Mapping, Record, RootedTree, _json_int, cycle_structure, unique_cyclic_vertex
+from .core import NO_PARENT, Mapping, Record, RootedTree, _json_field, _json_int, cycle_structure, unique_cyclic_vertex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,11 +63,11 @@ class DoublyRootedTree(Record):
     @classmethod
     def from_json_dict(cls, d: dict) -> "DoublyRootedTree":
         try:
-            n = _json_int(d["n"])
-            head = _json_int(d["head"])
-            tail = _json_int(d["tail"])
-            parent = tuple(_json_int(x) for x in d["parent"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n = _json_int(_json_field(d, "n"))
+            head = _json_int(_json_field(d, "head"))
+            tail = _json_int(_json_field(d, "tail"))
+            parent = tuple(_json_int(x) for x in _json_field(d, "parent"))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid doubly-rooted tree JSON: {exc}") from exc
         return cls(RootedTree(n, tail, parent), head)
 
@@ -92,14 +92,11 @@ class PruferSequence(Record):
             if not 1 <= x <= self.n:
                 raise ValueError(f"sequence entry {x} out of range [1..{self.n}]")
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "seq": list(self.seq)}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "PruferSequence":
         try:
-            return cls(_json_int(d["n"]), tuple(_json_int(x) for x in d["seq"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return cls(_json_int(_json_field(d, "n")), tuple(_json_int(x) for x in _json_field(d, "seq")))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid Prufer JSON: {exc}") from exc
 
 
@@ -162,9 +159,12 @@ def joyal_decode(d: DoublyRootedTree) -> Mapping:
 
 
 def _normalize_edges(n: int, edges) -> list[tuple[int, int]]:
+    arrays = (list, tuple)  # JSON arrays, and the tuples of Python callers
+    if not isinstance(edges, arrays) or not all(isinstance(e, arrays) and len(e) == 2 for e in edges):
+        raise ValueError("invalid edge list: expected a list of [u, v] pairs")
     try:
         pairs = [(_json_int(u), _json_int(v)) for u, v in edges]
-    except (TypeError, ValueError, OverflowError) as exc:  # not pairs of integers
+    except (TypeError, ValueError, OverflowError) as exc:  # pairs, but not of integers
         raise ValueError(f"invalid edge list: {exc}") from exc
     out = []
     for u, v in pairs:

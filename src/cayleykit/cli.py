@@ -223,13 +223,13 @@ def cmd_heights(args) -> int:
 
 def cmd_prufer(args) -> int:
     from .bijection import PruferSequence, prufer_decode, prufer_encode
-    from .core import _json_int
+    from .core import _json_field, _json_int
     doc = _read_json(args.input)
     if args.direction == "encode":
         try:
-            n = _json_int(doc["n"])
-            edges = doc["edges"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n = _json_int(_json_field(doc, "n"))
+            edges = _json_field(doc, "edges")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid edge-list JSON: {exc}") from exc
         seq = prufer_encode(n, edges)
         _emit_json(args, seq.to_json_dict())

@@ -79,6 +79,10 @@ class Record:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
+    def to_json_dict(self) -> dict:
+        """The fields by name, tuples as lists."""
+        return {f: list(v) if isinstance(v, tuple) else v for f, v in zip(self._fields, self._values())}
+
 
 def _json_int(value) -> int:
     """value if it is an int, as every JSON reader here wants its integers.
@@ -92,6 +96,15 @@ def _json_int(value) -> int:
     if type(value) is float:
         int(value)  # raises OverflowError or ValueError when not finite
     raise TypeError(f"expected an integer, got {value!r}")
+
+
+def _json_field(doc, key: str):
+    """doc[key]; a doc that is not a JSON object, or lacks the key, raises naming which."""
+    if type(doc) is not dict:
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
 
 
 class Mapping(Record):
@@ -123,15 +136,12 @@ class Mapping(Record):
         """All directed edges (v, f(v)) in vertex order."""
         return [(v, self.table[v - 1]) for v in range(1, self.n + 1)]
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "table": list(self.table)}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Mapping":
         try:
-            n = _json_int(d["n"])
-            table = tuple(_json_int(x) for x in d["table"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n = _json_int(_json_field(d, "n"))
+            table = tuple(_json_int(x) for x in _json_field(d, "table"))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid mapping JSON: {exc}") from exc
         return cls(n, table)
 
@@ -205,9 +215,6 @@ class RootedTree(Record):
             v = self.parent[v - 1]
             d += 1
         return d
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "root": self.root, "parent": list(self.parent)}
 
 
 def cycle_structure(m: Mapping) -> CycleStructure:

@@ -134,9 +134,6 @@ class ChiSquareCheck(Record):
     critical: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields}
-
 
 class LawEqualityReport(Record):
     """Sampled and exact evidence that 1+H and the collision count agree."""
@@ -166,7 +163,7 @@ class LawEqualityReport(Record):
 
 
 def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
-    """The Prufer sampler's height on each stream; -1 where a draw was rejected.
+    """The Prufer sampler's height on each stream.
 
     Draws [0, n-2) are the word, draw n-2 the root and draw n-1 the
     vertex.  All words are decoded at once toward vertex n (0-based
@@ -177,7 +174,7 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     import numpy as np
     from . import montecarlo
 
-    rows, rejected = montecarlo._bounded_draws(n, master_seed, streams, 0, n)
+    rows = montecarlo._bounded_draws(n, master_seed, streams, 0, n)[0]
     r = np.arange(len(rows))
     word, root, vertex = rows[:, : n - 2], rows[:, n - 2], rows[:, n - 1]
     parent = prufer_parent_rows(word, n)
@@ -191,18 +188,17 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     while (off := np.flatnonzero(up[r, v] < 0)).size:
         v[off] = parent[off, v[off]]
         climb[off] += 1
-    heights = climb + up[r, v]
-    heights[rejected] = -1
-    return heights
+    return climb + up[r, v]
 
 
 def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
-    """The rejection sampler's height on each stream; -1 where a draw was rejected.
+    """The rejection sampler's height on each stream.
 
     Attempt j is draws [jn, (j+1)n) and the vertex is the draw after the
     first accepted attempt.  Each segment draws the next attempts of the
-    streams still pending, about n per stream of the chunk in all; the
-    height, the number of f-steps from the vertex to the fixed point,
+    streams still pending, about n per stream of the chunk in all, with
+    the streams a Lemire rejection has shifted marked for _bounded_draws.
+    The height, the number of f-steps from the vertex to the fixed point,
     is summed by core._pointer_doubling over all accepted tables at once.
     """
     import numpy as np
@@ -211,30 +207,31 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
     cap = ATTEMPT_CAP_FACTOR * n
     heights = np.full(len(streams), -1)
     pending = np.arange(len(streams))
+    shifted = np.zeros(len(streams), dtype=bool)
     attempt = 0
     while pending.size:
         if attempt >= cap:
             raise _attempt_cap_error(n)
         count = min(cap - attempt, max(1, len(streams) * n // pending.size))
-        rows, rejected = montecarlo._bounded_draws(
-            n, master_seed, streams[pending], attempt * n, count * n + 1
+        rows, shifted[pending] = montecarlo._bounded_draws(
+            n, master_seed, streams[pending], attempt * n, count * n + 1, shifted[pending]
         )
         tables = rows[:, : count * n].reshape(-1, count, n)
         accepted = montecarlo._unique_cyclic_mask(tables.reshape(-1, n)).reshape(-1, count)
         found = accepted.any(axis=1)
-        done = np.flatnonzero(found & ~rejected)
+        done = np.flatnonzero(found)
         k = accepted[done].argmax(axis=1)
         f, v = tables[done, k], rows[done, (k + 1) * n] + n * np.arange(len(done))
         # height(v) = #{s < 2^t : f^s(v) != root}; the root is f's only fixed point
         depth = _pointer_doubling(f, np.add, (f != np.arange(n)).ravel().astype(np.int64))[1]
         heights[pending[done]] = depth[v]
-        pending = pending[~found & ~rejected]
+        pending = pending[~found]
         attempt += count
     return heights
 
 
 def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
-    """The collision count minus one on each stream; -1 where a draw was rejected.
+    """The collision count minus one on each stream.
 
     Sweeps the n + 1 draws column by column until every row has drawn
     a value it has seen; the count is the index of that draw.
@@ -242,7 +239,7 @@ def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     import numpy as np
     from . import montecarlo
 
-    rows, rejected = montecarlo._bounded_draws(n, master_seed, streams, 0, n + 1)
+    rows = montecarlo._bounded_draws(n, master_seed, streams, 0, n + 1)[0]
     r = np.arange(len(rows))
     seen = np.zeros((len(rows), n), dtype=bool)
     first = np.zeros(len(rows), dtype=np.int64)
@@ -251,9 +248,7 @@ def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
         if first.all():
             break
         seen[r, y] = True
-    bins = first - 1
-    bins[rejected] = -1
-    return bins
+    return first - 1
 
 
 _HEIGHT_KERNELS = {"prufer": _prufer_heights, "rejection": _rejection_heights}
@@ -268,10 +263,10 @@ def tally_law_histograms(
     sample from stream 2i+1, keeping the two sequences independent and
     any trial partition reproducible.  For n <= _VECTOR_MAX_N each chunk
     of trials is drawn at once and tallied by array kernels that give
-    the per-trial samplers' values; a stream with a Lemire rejection in
-    what its sample reads, and every stream at larger n, goes through
-    the per-trial sampler on a re-keyed generator.  (The kernels' cost
-    per trial grows faster in n: the Prufer decode is O(n^2) per tree.)
+    the per-trial samplers' values on every stream; at larger n each
+    stream goes through the per-trial sampler on a re-keyed generator.
+    (The kernels' cost per trial grows faster in n: the Prufer decode is
+    O(n^2) per tree.)
     """
     kernel = _HEIGHT_KERNELS.get(method)
     if kernel is None:
@@ -281,26 +276,18 @@ def tally_law_histograms(
 
     if stop > start:
         RngStream(master_seed, 2 * stop - 1)  # validates the seed and the last stream
-    samplers = (
-        lambda gen: _sample_height(gen, n, method),
-        lambda gen: _sample_collision(gen, n) - 1,
-    )
     counts = np.zeros((2, n), dtype=np.int64)
     draws_per_trial = n * n if method == "rejection" else n + 1  # on average
     for lo, hi in montecarlo._chunk_ranges(start, stop, draws_per_trial):
-        streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64))
         if n <= montecarlo._VECTOR_MAX_N:
-            bins = (
-                kernel(n, master_seed, streams),
-                _collision_bins(n, master_seed, streams + np.uint64(1)),
-            )
-        else:
-            bins = (np.full(hi - lo, -1),) * 2
-        for parity, (values, sample) in enumerate(zip(bins, samplers)):
-            counts[parity] += np.bincount(values[values >= 0], minlength=n)
-            redo = (2 * (lo + int(j)) + parity for j in np.flatnonzero(values < 0))
-            for gen in montecarlo._keyed_generators(master_seed, redo):
-                counts[parity, sample(gen)] += 1
+            streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64))
+            counts[0] += np.bincount(kernel(n, master_seed, streams), minlength=n)
+            counts[1] += np.bincount(_collision_bins(n, master_seed, streams + 1), minlength=n)
+            continue
+        gens = montecarlo._keyed_generators(master_seed, range(2 * lo, 2 * hi))
+        for gen in gens:  # streams 2i and 2i + 1; each generator is used before the next
+            counts[0, _sample_height(gen, n, method)] += 1
+            counts[1, _sample_collision(next(gens), n) - 1] += 1
     return counts[0].tolist(), counts[1].tolist()
 
 

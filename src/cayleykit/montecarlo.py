@@ -31,9 +31,6 @@ class Estimate(Record):
     ci_high: float
     z: float
 
-    def to_json_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields}
-
 
 class Histogram(Record):
     """Integer-valued counts over a contiguous support range."""
@@ -59,9 +56,6 @@ class Histogram(Record):
         if self.lo <= value <= self.hi:
             return self.counts[value - self.lo]
         return 0
-
-    def to_json_dict(self) -> dict:
-        return {"lo": self.lo, "counts": list(self.counts), "total": self.total}
 
 
 def wilson_interval(successes: int, trials: int, z: float) -> tuple[float, float]:
@@ -106,10 +100,10 @@ _PHILOX_M = tuple(np.uint64(m) for m in core._PHILOX_M)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-#: Longest rows (in 32-bit draws, so the largest n of draw_tables) that
-#: are computed with the vectorised Philox.  Its cost grows about 4x
-#: faster in the row length than numpy's C kernel re-keyed per row; the
-#: two cross near 270 draws (2-core x86-64 host).
+#: Longest windows (in 32-bit draws) that _bounded_draws computes with
+#: the vectorised Philox, and the largest n of the heights kernels.  Its
+#: cost grows about 4x faster in the window length than numpy's C kernel
+#: re-keyed per row; the two cross near 270 draws (2-core x86-64 host).
 _VECTOR_MAX_N = 256
 
 #: 32-bit draws per chunk of trials in the batched consumers; bounds
@@ -149,16 +143,16 @@ def _philox_words(master_seed: int, indices: np.ndarray, first: int, blocks: int
 
 
 def _bounded_draws(
-    n: int, master_seed: int, indices: np.ndarray, offset: int, length: int
+    n: int, master_seed: int, indices: np.ndarray, offset: int, length: int, shifted=False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draws on [0, n) at 32-bit positions [offset, offset + length) of each stream.
+    """Row j: integers(0, n, size=offset + length)[offset:] on stream (master_seed, indices[j]).
 
-    Returns the int64 draws of stream (master_seed, indices[j]) in row j,
-    and a row mask of the windows holding a draw Lemire's method rejects.
     numpy hands out a Philox stream's 32-bit halves contiguously across
-    integers() calls, and a rejected draw is replaced by the next half,
-    so position p is the stream's p-th bounded draw, whatever the calls,
-    as long as no draw before p was rejected.
+    integers() calls and replaces a draw Lemire's method rejects by the
+    next half, so until a stream's first rejection its p-th draw comes
+    from its p-th half: those rows are computed at once.  Rows shifted
+    by a rejection, in the window or (row mask shifted) before it, are
+    redrawn on numpy's generator; the mask of these is returned too.
     """
     first, skip = divmod(offset, 8)  # a Philox block holds eight 32-bit draws
     blocks = -(-(skip + length) // 8)
@@ -167,8 +161,12 @@ def _bounded_draws(
     # little-endian 32-bit views: each word's low half first, then its high half
     draws = words.astype("<u8", copy=False).view("<u4")[:, skip : skip + length]
     scaled = (draws * np.uint64(n)).view("<u4").reshape(len(indices), length, 2)
-    rejected = (scaled[:, :, 0] < (1 << 32) % n).any(axis=1)
-    return scaled[:, :, 1].astype(np.int64), rejected
+    rejected = (scaled[:, :, 0] < (1 << 32) % n).any(axis=1) | shifted
+    rows = scaled[:, :, 1].astype(np.int64)
+    redraw = np.flatnonzero(rejected)
+    for j, gen in zip(redraw, _keyed_generators(master_seed, indices[redraw].tolist())):
+        rows[j] = gen.integers(0, n, size=offset + length)[offset:]
+    return rows, rejected
 
 
 def _keyed_generators(master_seed: int, indices: Iterable[int]):
@@ -195,15 +193,6 @@ def _keyed_words(master_seed: int, indices: np.ndarray, first: int, blocks: int)
     return words
 
 
-def _keyed_rows(n: int, master_seed: int, indices: Iterable[int]) -> np.ndarray:
-    """numpy's integers(0, n, size=n) on stream (master_seed, i) for each i."""
-    indices = list(indices)
-    rows = np.empty((len(indices), n), dtype=np.int64)
-    for j, gen in enumerate(_keyed_generators(master_seed, indices)):
-        rows[j] = gen.integers(0, n, size=n)
-    return rows
-
-
 def draw_tables(n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
     """0-based int64 tables of trials [start, stop), one row per trial.
 
@@ -212,25 +201,17 @@ def draw_tables(n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
     keyed (master_seed, i) with counters from 1; each 64-bit word gives
     two 32-bit draws, low half first; Lemire's multiply-shift maps a
     draw u to (u * n) >> 32 and rejects it when the leftover
-    (u * n) mod 2**32 is below 2**32 mod n.  For n <= _VECTOR_MAX_N the
-    draws are computed for all rows at once and a row with a rejection
-    is redrawn on numpy's generator; larger n use numpy's generator for
-    every row.  The working set grows with (stop - start) * n: draw long
-    ranges in chunks.
+    (u * n) mod 2**32 is below 2**32 mod n.  _bounded_draws computes the
+    rows and redraws those with a rejection.  The working set grows with
+    (stop - start) * n: draw long ranges in chunks.
     """
     if not 1 <= n < 1 << 32:
         raise ValueError(f"n must be in [1, 2**32), got {n}")
     RngStream(master_seed, start)  # validates the seed and the first index
     if stop > _U64:
         raise ValueError(f"stream indices must fit in 64 bits, got stop={stop}")
-    if n > _VECTOR_MAX_N:
-        return _keyed_rows(n, master_seed, range(start, stop))
     indices = np.uint64(start) + np.arange(max(stop - start, 0), dtype=np.uint64)
-    tables, rejected = _bounded_draws(n, master_seed, indices, 0, n)
-    redraw = np.flatnonzero(rejected)
-    if redraw.size:
-        tables[redraw] = _keyed_rows(n, master_seed, (start + int(j) for j in redraw))
-    return tables
+    return _bounded_draws(n, master_seed, indices, 0, n)[0]
 
 
 def _chunk_ranges(start: int, stop: int, draws_per_trial: int):

@@ -96,7 +96,7 @@ def test_check_conditionals_matches_golden_bytes(capsys, n, trials, seed, jobs):
         (7, 2000, 43),
         (100, 2000, 2**63 + 1),
         (256, 2000, 45),
-        (257, 500, 2**64 - 1),  # past the vectorised draws: one keyed generator per trial
+        (257, 500, 2**64 - 1),  # past the vectorised Philox: numpy's Philox re-keyed per trial
     ],
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -606,15 +606,23 @@ def test_cli_warnings_are_plain_lines():
 @pytest.mark.parametrize(
     "argv, stdin, message",
     [
-        (["prufer", "encode"], '{"n": 5, "edges": [[1]]}',
-         "invalid edge list: not enough values to unpack (expected 2, got 1)"),
-        (["prufer", "encode"], '{"n": 5, "edges": 5}', "invalid edge list: 'int' object is not iterable"),
+        (["prufer", "encode"], '{"n": 5, "edges": [[1]]}', "invalid edge list: expected a list of [u, v] pairs"),
+        (["prufer", "encode"], '{"n": 5, "edges": 5}', "invalid edge list: expected a list of [u, v] pairs"),
         (["prufer", "encode"], '{"n": 1e400, "edges": []}',
          "invalid edge-list JSON: cannot convert float infinity to integer"),
         (["trace"], '{"n": 1e400, "table": [1]}', "invalid mapping JSON: cannot convert float infinity to integer"),
         (["check-conditionals", "--n", "5", "--trials", "10", "--min-obs", "-5"], "", "min_obs must be >= 0, got -5"),
+        (["trace"], '{"n": 2}', "invalid mapping JSON: missing key 'table'"),
+        (["trace"], "[1, 2]", "invalid mapping JSON: expected a JSON object, got list"),
+        (["prufer", "decode"], '{"n": 3}', "invalid Prufer JSON: missing key 'seq'"),
+        (["joyal", "decode"], '"x"', "invalid doubly-rooted tree JSON: expected a JSON object, got str"),
+        (["prufer", "encode"], '{"n": 3, "edges": "12"}', "invalid edge list: expected a list of [u, v] pairs"),
     ],
-    ids=["edge-too-short", "edges-not-a-list", "prufer-n-infinite", "trace-n-infinite", "negative-min-obs"],
+    ids=[
+        "edge-too-short", "edges-not-a-list", "prufer-n-infinite", "trace-n-infinite", "negative-min-obs",
+        "trace-missing-key", "trace-not-an-object", "prufer-decode-missing-key", "joyal-decode-not-an-object",
+        "edges-a-string",
+    ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv, stdin, message):
     assert run_stdin(capsys, argv, stdin) == (2, "", f"error: {message}\n")
@@ -623,7 +631,7 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv, stdin, messag
 @pytest.mark.parametrize(
     "argv, stdin, message",
     [
-        (["prufer", "encode"], '{"n": 3, "edges": ["12", "23"]}', "invalid edge list: expected an integer, got '1'"),
+        (["prufer", "encode"], '{"n": 3, "edges": ["12", "23"]}', "invalid edge list: expected a list of [u, v] pairs"),
         (["prufer", "encode"], '{"n": 3, "edges": [[1.7, 2], [2, 3]]}', "invalid edge list: expected an integer, got 1.7"),
         (["prufer", "encode"], '{"n": 3, "edges": [[true, 2], [2, 3]]}', "invalid edge list: expected an integer, got True"),
         (["prufer", "encode"], '{"n": 3, "edges": [[1, 2], [2, 3e0]]}', "invalid edge list: expected an integer, got 3.0"),

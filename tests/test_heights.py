@@ -255,24 +255,44 @@ def test_integers_calls_hand_out_one_contiguous_stream():
         assert rejected[0] == (stream == 99469)
         if not rejected[0]:
             assert np.array_equal(draws[0], gen().integers(0, n, size=n))
+        # a later window, with the rows marked shifted by a rejection before it redrawn
+        offset, length = n + 5, 20
+        draws, _ = montecarlo._bounded_draws(
+            n, seed, np.array([stream], dtype=np.uint64), offset, length, rejected
+        )
+        assert np.array_equal(draws[0], gen().integers(0, n, size=offset + length)[offset:])
 
 
-def test_lemire_rejections_fall_back_to_the_per_trial_samplers():
+def test_kernels_read_lemire_rejecting_streams_exactly():
     # under seed 90125 at n = 244 (the largest threshold, 240, of any
     # n <= 256) these trials' streams reject a draw their sample reads:
     # the Prufer height stream of trial 78854; the rejection-sampler
-    # streams of trials 11 (a rejection in attempt 394, accepted at 982)
-    # and 1063 (attempt 242, accepted at 554: the first segment of n
-    # attempts ends pending, even on the shifted draws); the collision streams of trials 49734 (stream 99469, after
+    # streams of trials 11 (a rejection in attempt 394, a segment before
+    # its acceptance at 982) and 1063 (attempt 242, accepted at 554: the
+    # first segment of n attempts ends pending, even on the shifted
+    # draws); the collision streams of trials 49734 (stream 99469, after
     # its first repeat) and 3816877 (before it)
     n, seed = 244, 90125
 
     def streams(*trials):
         return np.array(trials, dtype=np.uint64)
 
-    assert _prufer_heights(n, seed, 2 * streams(78853, 78854))[1] == -1
-    assert list(_rejection_heights(n, seed, 2 * streams(10, 11, 1063)))[1:] == [-1, -1]
-    assert list(_collision_bins(n, seed, 2 * streams(49734, 3816877) + 1)) == [-1, -1]
+    def per_stream(sample, indices):
+        return [sample(RngStream(seed, int(i)).generator()) for i in indices]
+
+    def rejects(indices, length):
+        return montecarlo._bounded_draws(n, seed, indices, 0, length)[1].tolist()
+
+    s = 2 * streams(78853, 78854)
+    assert rejects(s, n)[1]
+    assert list(_prufer_heights(n, seed, s)) == per_stream(lambda g: _sample_height(g, n, "prufer"), s)
+    s = 2 * streams(10, 11, 1063)
+    assert rejects(s, 400 * n)[1:] == [True, True]
+    want = per_stream(lambda g: _sample_height(g, n, "rejection"), s)
+    assert list(_rejection_heights(n, seed, s)) == want
+    s = 2 * streams(49734, 3816877) + 1
+    assert rejects(s, n + 1) == [True, True]
+    assert list(_collision_bins(n, seed, s)) == per_stream(lambda g: _sample_collision(g, n) - 1, s)
     for start, stop, method in [
         (78850, 78858, "prufer"),
         (9, 13, "rejection"),
