@@ -17,7 +17,9 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING
 
-from .core import NO_PARENT, Mapping, Record, RootedTree, _json_field, _json_int, cycle_structure, unique_cyclic_vertex
+from .core import (
+    NO_PARENT, Mapping, Record, RootedTree, _json_field, _json_int, _json_ints, cycle_structure, unique_cyclic_vertex,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,7 +68,7 @@ class DoublyRootedTree(Record):
             n = _json_int(_json_field(d, "n"))
             head = _json_int(_json_field(d, "head"))
             tail = _json_int(_json_field(d, "tail"))
-            parent = tuple(_json_int(x) for x in _json_field(d, "parent"))
+            parent = _json_ints(d, "parent")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid doubly-rooted tree JSON: {exc}") from exc
         return cls(RootedTree(n, tail, parent), head)
@@ -95,7 +97,7 @@ class PruferSequence(Record):
     @classmethod
     def from_json_dict(cls, d: dict) -> "PruferSequence":
         try:
-            return cls(_json_int(_json_field(d, "n")), tuple(_json_int(x) for x in _json_field(d, "seq")))
+            return cls(_json_int(_json_field(d, "n")), _json_ints(d, "seq"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid Prufer JSON: {exc}") from exc
 

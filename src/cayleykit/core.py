@@ -107,6 +107,14 @@ def _json_field(doc, key: str):
     return doc[key]
 
 
+def _json_ints(doc, key: str) -> tuple[int, ...]:
+    """doc[key] as a tuple of ints; a value that is not a JSON array raises naming its type."""
+    value = _json_field(doc, key)
+    if type(value) is not list:
+        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+    return tuple(_json_int(x) for x in value)
+
+
 class Mapping(Record):
     """A total function f: [n] -> [n], stored as a 1-based lookup table.
 
@@ -140,7 +148,7 @@ class Mapping(Record):
     def from_json_dict(cls, d: dict) -> "Mapping":
         try:
             n = _json_int(_json_field(d, "n"))
-            table = tuple(_json_int(x) for x in _json_field(d, "table"))
+            table = _json_ints(d, "table")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"invalid mapping JSON: {exc}") from exc
         return cls(n, table)
@@ -166,9 +174,9 @@ class RootedTree(Record):
     """A tree on [n] with edges oriented toward a designated root.
 
     ``parent[v-1]`` is the parent of v, with ``NO_PARENT`` (0) in the
-    root's slot.  Construction verifies that parent-following from every
-    vertex reaches the root, i.e. the structure is a connected acyclic
-    in-tree.
+    root's slot.  Construction verifies that the mapping with the root
+    as a fixed point closes exactly one cycle, so parent-following from
+    every vertex reaches the root: the structure is an acyclic in-tree.
     """
 
     n: int
@@ -192,19 +200,10 @@ class RootedTree(Record):
                     raise ValueError(f"root {v} must have parent marker {NO_PARENT}")
             elif not 1 <= p <= self.n:
                 raise ValueError(f"parent of {v} is {p}, out of range [1..{self.n}]")
-        # reached[v-1]: parent chain from v is known to end at the root
-        reached = [False] * self.n
-        reached[self.root - 1] = True
-        for v in range(1, self.n + 1):
-            chain = []
-            w = v
-            while not reached[w - 1]:
-                chain.append(w)
-                w = self.parent[w - 1]
-                if len(chain) > self.n:
-                    raise ValueError("parent pointers contain a cycle")
-            for u in chain:
-                reached[u - 1] = True
+        table = list(self.parent)
+        table[self.root - 1] = self.root
+        if sum(own for _, _, own in _rounds(table)) != 1:
+            raise ValueError("parent pointers contain a cycle")
 
     def depth(self, v: int) -> int:
         """Edge-distance from v to the root (the root has depth 0)."""
@@ -217,38 +216,43 @@ class RootedTree(Record):
         return d
 
 
+def _rounds(table, order=None):
+    """The paper's exploration of a 1-based table, the one scalar cycle walk.
+
+    Each round starts at the first unexplored vertex in order (1..n by
+    default) and follows f until it reaches an explored vertex w.  It
+    yields (path, w, own), own saying whether w is on the round's own
+    path, i.e. whether the round closed a new cycle.
+    """
+    round_of = [0] * (len(table) + 1)  # round_of[v]: the round that explored v, 0 before
+    i = 0
+    for start in range(1, len(table) + 1) if order is None else order:
+        if round_of[start]:
+            continue
+        i += 1
+        path = []
+        v = start
+        while not round_of[v]:
+            round_of[v] = i
+            path.append(v)
+            v = table[v - 1]
+        yield path, v, round_of[v] == i
+
+
 def cycle_structure(m: Mapping) -> CycleStructure:
     """Compute the cyclic set and cycle decomposition in O(n).
 
-    Uses three-state marking (unvisited / on the current walk / finished):
-    a walk that runs into its own tail has discovered a new cycle, a walk
-    that hits finished territory contributes only tree vertices.
+    A round of the exploration that closes on its own path has found a
+    new cycle, its path from the closing vertex on; so each cycle is
+    listed from its first explored vertex, in the order of those.
     """
-    n = m.n
-    table = m.table
-    state = bytearray(n)  # 0 unvisited, 1 on current walk, 2 finished
-    cyclic = [False] * n
+    cyclic = [False] * m.n
     cycles: list[tuple[int, ...]] = []
-    for s in range(1, n + 1):
-        if state[s - 1]:
-            continue
-        walk = []
-        v = s
-        while state[v - 1] == 0:
-            state[v - 1] = 1
-            walk.append(v)
-            v = table[v - 1]
-        if state[v - 1] == 1:
-            cyc = [v]
-            w = table[v - 1]
-            while w != v:
-                cyc.append(w)
-                w = table[w - 1]
-            cycles.append(tuple(cyc))
-            for u in cyc:
+    for path, w, own in _rounds(m.table):
+        if own:
+            cycles.append(tuple(path[path.index(w):]))
+            for u in cycles[-1]:
                 cyclic[u - 1] = True
-        for w in walk:
-            state[w - 1] = 2
     return CycleStructure(tuple(cyclic), tuple(cycles), len(cycles))
 
 
@@ -257,34 +261,22 @@ def unique_cyclic_vertex(m: Mapping) -> int | None:
 
     A mapping has a single cyclic vertex r exactly when r is its only
     fixed point and no other cycle exists, so the check counts fixed
-    points first and then walks the remaining vertices looking for a
-    second cycle.  O(n), and cheap on the frequent rejection paths.
+    points first and then explores only until a second cycle closes.
+    O(n), and cheap on the frequent rejection paths.
     """
-    n = m.n
-    table = m.table
     root = 0
-    for v in range(1, n + 1):
-        if table[v - 1] == v:
+    for v, image in enumerate(m.table, start=1):
+        if image == v:
             if root:
                 return None
             root = v
     if not root:
         return None
-    state = bytearray(n)
-    state[root - 1] = 2
-    for s in range(1, n + 1):
-        if state[s - 1]:
-            continue
-        walk = []
-        v = s
-        while state[v - 1] == 0:
-            state[v - 1] = 1
-            walk.append(v)
-            v = table[v - 1]
-        if state[v - 1] == 1:
+    cycles = 0
+    for _, _, own in _rounds(m.table):
+        cycles += own
+        if cycles > 1:
             return None  # closed a second cycle
-        for w in walk:
-            state[w - 1] = 2
     return root
 
 

@@ -22,7 +22,7 @@ import random
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Mapping, Record, mapping_to_dot
+from .core import Mapping, Record, _rounds, mapping_to_dot
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -107,8 +107,9 @@ class ExplorationTrace(Record):
             raise ValueError("K must equal the number of rounds and len(T)")
         if any(b <= a for a, b in zip(self.T, self.T[1:])):
             raise ValueError("T must be strictly increasing")
-        if self.T and self.T[-1] != self.n:
-            raise ValueError(f"T_K={self.T[-1]} must equal n={self.n}")
+        explored = self.T[-1] if self.T else 0  # an empty trace explored nothing
+        if explored != self.n:
+            raise ValueError(f"T_K={explored} must equal n={self.n}")
 
     def revealed_edges(self) -> list[tuple[int, int]]:
         """All revealed edges (v, f(v)) in reveal order."""
@@ -139,42 +140,28 @@ class ExplorationTrace(Record):
 def explore(m: Mapping, strategy: SelectionStrategy | None = None) -> ExplorationTrace:
     """Run the reveal procedure on m and record the full trace.
 
-    Deterministic given (m, strategy); every vertex lands in exactly one
-    round's path, so the trace reconstructs the mapping edge for edge.
+    The rounds are those of core._rounds, the one scalar cycle walk, in
+    the strategy's start order.  Deterministic given (m, strategy); every
+    vertex lands in exactly one round's path, so the trace reconstructs
+    the mapping edge for edge.
     """
     if strategy is None:
         strategy = SmallestLabel()
-    n = m.n
-    table = m.table
-    round_of = [0] * n  # round index at which each vertex was explored
-    order = iter(strategy.start_order(n))
     rounds: list[RoundRecord] = []
     T: list[int] = []
     total = 0
-    while total < n:
-        start = next(order)
-        while round_of[start - 1]:
-            start = next(order)
-        i = len(rounds) + 1
-        path = []
-        v = start
-        while True:
-            path.append(v)
-            round_of[v - 1] = i
-            w = table[v - 1]
-            if round_of[w - 1]:
-                break
-            v = w
+    for i, (path, w, own) in enumerate(_rounds(m.table, strategy.start_order(m.n)), start=1):
+        v = path[-1]
         if w == v:
             closure = Closure.SELF_LOOP
-        elif round_of[w - 1] == i:
+        elif own:
             closure = Closure.IN_ROUND
         else:
             closure = Closure.PRIOR_ROUND
         total += len(path)
         T.append(total)
-        rounds.append(RoundRecord(i, start, tuple(path), (v, w), closure))
-    return ExplorationTrace(n, tuple(rounds), tuple(T), len(rounds))
+        rounds.append(RoundRecord(i, path[0], tuple(path), (v, w), closure))
+    return ExplorationTrace(m.n, tuple(rounds), tuple(T), len(rounds))
 
 
 def reconstruct_mapping(t: ExplorationTrace) -> Mapping:

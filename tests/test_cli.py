@@ -617,11 +617,15 @@ def test_cli_warnings_are_plain_lines():
         (["prufer", "decode"], '{"n": 3}', "invalid Prufer JSON: missing key 'seq'"),
         (["joyal", "decode"], '"x"', "invalid doubly-rooted tree JSON: expected a JSON object, got str"),
         (["prufer", "encode"], '{"n": 3, "edges": "12"}', "invalid edge list: expected a list of [u, v] pairs"),
+        (["trace"], '{"n": 2, "table": 5}', "invalid mapping JSON: expected a JSON array, got int"),
+        (["prufer", "decode"], '{"n": 3, "seq": 5}', "invalid Prufer JSON: expected a JSON array, got int"),
+        (["joyal", "decode"], '{"n": 2, "head": 2, "tail": 1, "parent": 5}',
+         "invalid doubly-rooted tree JSON: expected a JSON array, got int"),
     ],
     ids=[
         "edge-too-short", "edges-not-a-list", "prufer-n-infinite", "trace-n-infinite", "negative-min-obs",
         "trace-missing-key", "trace-not-an-object", "prufer-decode-missing-key", "joyal-decode-not-an-object",
-        "edges-a-string",
+        "edges-a-string", "trace-table-an-int", "prufer-decode-seq-an-int", "joyal-decode-parent-an-int",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv, stdin, message):
@@ -640,7 +644,7 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv, stdin, messag
         (["prufer", "encode"], '{"n": 0, "edges": []}', "n must be >= 1, got 0"),
         (["prufer", "encode"], '{"n": -2, "edges": []}', "n must be >= 1, got -2"),
         (["trace"], '{"n": 2, "table": [1.5, 2]}', "invalid mapping JSON: expected an integer, got 1.5"),
-        (["trace"], '{"n": 2, "table": "12"}', "invalid mapping JSON: expected an integer, got '1'"),
+        (["trace"], '{"n": 2, "table": "12"}', "invalid mapping JSON: expected a JSON array, got str"),
         (["trace"], '{"n": 2, "table": [[1], 2]}', "invalid mapping JSON: expected an integer, got [1]"),
         (["joyal", "encode"], '{"n": 2, "table": [true, 2]}', "invalid mapping JSON: expected an integer, got True"),
         (["joyal", "decode"], '{"n": 2, "head": 2.0, "tail": 1, "parent": [0, 1]}',

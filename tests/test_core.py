@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,22 @@ def test_unique_cyclic_vertex_examples():
     assert unique_cyclic_vertex(Mapping(1, (1,))) == 1
 
 
+def image_of_power(m, k):
+    """The image of f^k, by applying f k times to the whole vertex set."""
+    image = set(range(1, m.n + 1))
+    for _ in range(k):
+        image = {m.table[v - 1] for v in image}
+    return image
+
+
 def test_unique_cyclic_vertex_is_fixed_point_exhaustive():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for m in all_mappings(n):
             r = unique_cyclic_vertex(m)
+            # brute force, sharing no walk with the library: the image of
+            # f^n is the cyclic set, so r is unique exactly when it is {r}
+            image = image_of_power(m, n)
+            assert r == (image.pop() if len(image) == 1 else None)
             cs = cycle_structure(m)
             if r is None:
                 assert sum(cs.cyclic) != 1
@@ -132,6 +146,34 @@ def test_rooted_tree_validation():
         RootedTree(3, 1, (0, 1))
     with pytest.raises(ValueError):
         RootedTree(3, 4, (0, 1, 1))
+
+
+def climbs_to_root(parent, v, root):
+    """Whether at most n parent steps from v reach the root."""
+    for _ in range(len(parent)):
+        if v == root:
+            return True
+        v = parent[v - 1]
+    return v == root
+
+
+def test_rooted_tree_accepts_exactly_the_parent_arrays_that_climb_to_the_root():
+    # every parent array with the marker at the root and parents in [1..n]
+    # elsewhere; Cayley's n^(n-2) trees per root, counted through the validator
+    for n in range(1, 6):
+        for root in range(1, n + 1):
+            accepted = 0
+            for others in itertools.product(range(1, n + 1), repeat=n - 1):
+                parent = others[: root - 1] + (0,) + others[root - 1 :]
+                climbs = all(climbs_to_root(parent, v, root) for v in range(1, n + 1))
+                try:
+                    RootedTree(n, root, parent)
+                except ValueError as exc:
+                    assert not climbs and str(exc) == "parent pointers contain a cycle"
+                else:
+                    assert climbs
+                    accepted += 1
+            assert accepted == (n ** (n - 2) if n > 1 else 1)
 
 
 def test_rooted_tree_depths():

@@ -204,6 +204,7 @@ BAD = [
     (RootedTree, (2, 1, (1, 1)), "root 1 must have parent marker 0"),
     (RootedTree, (2, 1, (0, 3)), "parent of 2 is 3, out of range [1..2]"),
     (RootedTree, (3, 1, (0, 3, 2)), "parent pointers contain a cycle"),
+    (RootedTree, (3, 1, (0, 2, 2)), "parent pointers contain a cycle"),  # 2 is its own parent
     (RngStream, (-1,), "master_seed must be a 64-bit integer, got -1"),
     (RngStream, (2**64,), "master_seed must be a 64-bit integer, got 18446744073709551616"),
     (RngStream, (1, -1), "stream_index must fit in 64 bits, got -1"),
@@ -216,12 +217,22 @@ BAD = [
     (ExplorationTrace, (3, (), (3,), 1), "K must equal the number of rounds and len(T)"),
     (ExplorationTrace, (3, (ROUND, ROUND), (3, 2), 2), "T must be strictly increasing"),
     (ExplorationTrace, (3, (ROUND,), (2,), 1), "T_K=2 must equal n=3"),
+    (ExplorationTrace, (3, (), (), 0), "T_K=0 must equal n=3"),  # what a strategy with an empty order explores
     (Histogram, (0, (1, -1), 0), "counts must be nonnegative"),
     (Histogram, (0, (1, 2), 4), "total must equal the sum of counts"),
 ]
 
 
-@pytest.mark.parametrize("cls, args, message", BAD, ids=[f"{c.__name__}-{m}" for c, _, m in BAD])
+def _ids(cases):
+    """class-message for each case; a message seen before also names the arguments."""
+    ids = []
+    for cls, args, message in cases:
+        name = f"{cls.__name__}-{message}"
+        ids.append(f"{name}-{args}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("cls, args, message", BAD, ids=_ids(BAD))
 def test_post_init_messages_unchanged(cls, args, message):
     with pytest.raises(ValueError) as info:
         cls(*args)
