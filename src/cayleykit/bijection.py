@@ -196,9 +196,7 @@ def _validate_tree(n: int, edges: list[tuple[int, int]]) -> None:
         if ru == rv:
             raise ValueError(f"not a tree: cycle found through edge ({u},{v})")
         parent[ru] = rv
-    roots = {find(v) for v in range(1, n + 1)}
-    if len(roots) > 1:
-        raise ValueError("not a tree: disconnected")
+    # n - 1 distinct edges without a cycle on n vertices leave one component: connected
 
 
 def prufer_encode(n: int, edges) -> PruferSequence:

@@ -2,16 +2,18 @@
 
 Everything here is exact: counts are big integers, probability masses
 are rationals, and no floating point is used.  Every table is visited.
-Up to n = 5 (3125 tables) each one goes through the scalar functions of
-core and bijection, which is quicker than importing numpy; from n = 6
-on, the tables go in numpy chunks classified by pointer doubling, so
-the guards (n <= 8 for counts, n <= 7 for the height pmf) keep a full
-run to a few seconds at worst.  Only that array route loads numpy.
+Up to n = 5 (3125 tables), while numpy is not loaded, each one goes
+through the scalar functions of core and bijection, which is quicker
+than importing numpy; otherwise the tables go in numpy chunks
+classified by pointer doubling, so the guards (n <= 8 for counts,
+n <= 7 for the height pmf) keep a full run to a few seconds at worst.
+Only that array route loads numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -189,13 +191,15 @@ def exact_counts(n: int) -> ExactCounts:
     two counts check each other through the factor-of-n relation.
     height_pmf (n <= 7 only) is the exact law of the height of a
     uniform vertex in a uniform rooted tree, tallied over every
-    (rooted tree, vertex) pair.  n <= 5 runs the scalar route, n = 5 in
-    20-40 ms without numpy; larger n the array route, where n = 7
-    takes about 0.13 s and n = 8 about 2.5 s (2-core x86-64 host).
+    (rooted tree, vertex) pair.  n <= 5 runs the scalar route while
+    numpy is not loaded, n = 5 in 20-40 ms; otherwise the array route,
+    where n = 5 takes about 2 ms, n = 7 about 0.13 s and n = 8 about
+    2.5 s (2-core x86-64 host).
     """
     if not 1 <= n <= MAX_COUNT_N:
         raise ValueError(f"n={n} outside enumeration guard [1..{MAX_COUNT_N}]")
-    return _scalar_counts(n) if n <= _MAX_SCALAR_N else _array_counts(n)
+    scalar = n <= _MAX_SCALAR_N and "numpy" not in sys.modules  # once numpy is loaded, arrays win
+    return _scalar_counts(n) if scalar else _array_counts(n)
 
 
 def exact_height_pmf(n: int) -> tuple[Fraction, ...]:

@@ -10,7 +10,6 @@ results bit for bit, sequentially or in parallel.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from typing import Iterable, Mapping as MappingABC
 
@@ -441,7 +440,7 @@ def _pool_tail(bins: Iterable[tuple], size) -> tuple[list[tuple], int]:
 
     A nonzero tail is a bin of its own when its size reaches 5 or no
     other bin is kept, and joins the last kept bin otherwise.  One
-    pooled bin gives df 0 and a degenerate-input warning.
+    pooled bin gives df 0; the caller decides whether to report it.
     """
     kept: list[tuple] = []
     tail = None
@@ -454,8 +453,6 @@ def _pool_tail(bins: Iterable[tuple], size) -> tuple[list[tuple], int]:
         if kept and size(tail) < 5.0:
             tail = tuple(k + t for k, t in zip(kept.pop(), tail))
         kept.append(tail)
-    if len(kept) == 1:
-        warnings.warn("all probability mass merged into one bin; df=0", stacklevel=3)
     return kept, len(kept) - 1
 
 
@@ -467,7 +464,7 @@ def chi_square_statistic(
     Bins with expected count below 5 are pooled into a single upper-tail
     bin before summing (obs - exp)^2 / exp; degrees of freedom are the
     post-merge bin count minus one.  A histogram whose whole mass ends
-    up in one bin yields df 0 and a degenerate-input warning.
+    up in one bin yields df 0, with no warning.
     """
     if h.total < 1:
         raise ValueError("histogram is empty")

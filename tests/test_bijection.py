@@ -192,6 +192,22 @@ def test_prufer_rejects_non_trees():
         PruferSequence(4, (1,))
 
 
+def test_prufer_encode_accepts_cayleys_count_of_edge_sets():
+    # n - 1 distinct edges without a cycle leave one component, so the
+    # validator accepts n^(n-2) sets and names a cycle in every other one
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        accepted = 0
+        for edges in itertools.combinations(pairs, n - 1):
+            try:
+                prufer_encode(n, edges)
+            except ValueError as exc:
+                assert str(exc).startswith("not a tree: cycle found through edge"), edges
+            else:
+                accepted += 1
+        assert accepted == (n ** (n - 2) if n >= 2 else 1)
+
+
 def test_prufer_round_trip_and_distinctness_up_to_7():
     for n in range(1, 8):
         seen = set()

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import pathlib
@@ -5,7 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cayleykit import Mapping, PruferSequence, joyal_encode, prufer_decode
 from cayleykit.cli import main
 
 
@@ -109,10 +113,13 @@ def test_verify_cayley_matches_golden_bytes(capsys, n, trials, seed, jobs):
         assert out.encode() == (GOLDEN / f"verify_cayley_n{n}.{suffix}").read_bytes()
 
 
+_MERGED = "all probability mass merged into one bin; df=0"
+
+
 @pytest.mark.parametrize(
-    "n, method, trials, seed, code, warnings",
+    "n, method, trials, seed, code, one_sample_df0",
     [
-        (1, "prufer", 200, 51, 0, 2),  # both one-bin tests have df = 0
+        (1, "prufer", 200, 51, 0, 2),  # both one-sample checks and the two-sample one have df = 0
         (1, "rejection", 200, 52, 0, 2),
         (4, "prufer", 2000, 53, 0, 0),
         (4, "rejection", 2000, 54, 0, 0),
@@ -126,12 +133,17 @@ def test_verify_cayley_matches_golden_bytes(capsys, n, trials, seed, jobs):
     ],
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_heights_matches_golden_bytes(capsys, n, method, trials, seed, code, warnings, jobs):
+def test_heights_matches_golden_bytes(capsys, n, method, trials, seed, code, one_sample_df0, jobs):
     # stdout recorded from the HeightSample sampler and the hand-written check dicts
     argv = ["heights", "--n", str(n), "--method", method, "--trials", str(trials), "--seed", str(seed)]
     result = run_cli(capsys, *argv, "--jobs", jobs)
-    assert result[0::2] == (code, "warning: all probability mass merged into one bin; df=0\n" * warnings)
-    assert result[1].encode() == (GOLDEN / f"heights_{method}_n{n}.json").read_bytes()
+    golden = (GOLDEN / f"heights_{method}_n{n}.json").read_bytes()
+    assert result[1].encode() == golden
+    # stderr names each check with df = 0 on a line of its own, in check order
+    checks = json.loads(golden)["checks"]
+    assert sum(c["df"] == 0 for c in checks[:2]) == one_sample_df0
+    warnings = "".join(f"warning: {c['label']}: {_MERGED}\n" for c in checks if c["df"] == 0)
+    assert result[0::2] == (code, warnings)
 
 
 def _sampler_goldens():
@@ -591,7 +603,8 @@ def test_a_bad_z_is_rejected_before_numpy_loads(z):
 
 
 def test_cli_warnings_are_plain_lines():
-    # the library warns; the CLI prints the message without a source location
+    # the library returns df = 0; heights names each such check on one
+    # line of its own, without a source location
     out = subprocess.run(
         [sys.executable, "-m", "cayleykit", "heights", "--n", "1", "--trials", "500", "--seed", "7"],
         capture_output=True,
@@ -599,7 +612,11 @@ def test_cli_warnings_are_plain_lines():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["passed"] is True
-    assert out.stderr == "warning: all probability mass merged into one bin; df=0\n" * 2
+    assert out.stderr == (
+        f"warning: height_plus_one[prufer] vs exact collision pmf: {_MERGED}\n"
+        f"warning: collision vs exact collision pmf: {_MERGED}\n"
+        f"warning: height_plus_one[prufer] vs collision (two-sample): {_MERGED}\n"
+    )
     assert ".py:" not in out.stderr
 
 
@@ -621,15 +638,140 @@ def test_cli_warnings_are_plain_lines():
         (["prufer", "decode"], '{"n": 3, "seq": 5}', "invalid Prufer JSON: expected a JSON array, got int"),
         (["joyal", "decode"], '{"n": 2, "head": 2, "tail": 1, "parent": 5}',
          "invalid doubly-rooted tree JSON: expected a JSON array, got int"),
+        # n - 1 edges, vertex 4 isolated: the cycle is what gives it away
+        (["prufer", "encode"], '{"n": 4, "edges": [[1, 2], [2, 3], [1, 3]]}',
+         "not a tree: cycle found through edge (1,3)"),
     ],
     ids=[
         "edge-too-short", "edges-not-a-list", "prufer-n-infinite", "trace-n-infinite", "negative-min-obs",
         "trace-missing-key", "trace-not-an-object", "prufer-decode-missing-key", "joyal-decode-not-an-object",
         "edges-a-string", "trace-table-an-int", "prufer-decode-seq-an-int", "joyal-decode-parent-an-int",
+        "edges-a-cycle-and-an-isolated-vertex",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv, stdin, message):
     assert run_stdin(capsys, argv, stdin) == (2, "", f"error: {message}\n")
+
+
+def _main_in_process(argv, stdin):
+    """(exit status, stdout, stderr) of cli.main, argparse's exits included."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+
+
+_JSON_KEYS = ("n", "table", "seq", "edges", "head", "tail", "parent")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _nudge(draw, value):
+    """value with one integer moved by one or a half, or made a float, or
+    with one array a last entry shorter or longer."""
+    if isinstance(value, int):
+        return value + draw(st.sampled_from([1, -1, 0.5, -0.5, 0.0]))
+    if not value or draw(st.booleans()):
+        return value[:-1] if value and draw(st.booleans()) else value + [value[-1] if value else 1]
+    i = draw(st.integers(0, len(value) - 1))
+    return value[:i] + [_nudge(draw, value[i])] + value[i + 1 :]
+
+
+_JSON_COMMANDS = {
+    "trace": ("n", "table"),
+    "prufer encode": ("n", "edges"),
+    "prufer decode": ("n", "seq"),
+    "joyal encode": ("n", "table"),
+    "joyal decode": ("n", "head", "tail", "parent"),
+}
+
+
+@st.composite
+def _near_documents(draw, keys):
+    """A valid document for a reader of these keys (a mapping, a Prufer
+    word, its tree's edges or the mapping's doubly-rooted tree), each key
+    kept, dropped, nudged or replaced by any JSON value, so runs get both
+    past the readers and stopped by them."""
+    n = draw(st.integers(1, 5))
+    table = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    seq = draw(st.lists(st.integers(1, n), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    doc = joyal_encode(Mapping(n, tuple(table))).to_json_dict()
+    doc.update(table=table, seq=seq, edges=[list(e) for e in prufer_decode(PruferSequence(n, tuple(seq)))])
+    doc = {key: doc[key] for key in keys}
+    for key in keys:
+        change = draw(st.sampled_from(["keep", "keep", "nudge", "nudge", "drop", "replace"]))
+        if change == "drop":
+            del doc[key]
+        elif change == "nudge":
+            doc[key] = _nudge(draw, doc[key])
+        elif change == "replace":
+            doc[key] = draw(_json_values)
+    return doc
+
+
+@st.composite
+def _json_runs(draw):
+    command = draw(st.sampled_from(sorted(_JSON_COMMANDS)))
+    near = _near_documents(_JSON_COMMANDS[command]).map(json.dumps)
+    return command.split(), draw(st.one_of(near, near, near, _json_values.map(json.dumps), st.text(max_size=8)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_json_runs())
+def test_any_json_on_stdin_keeps_the_exit_contract(run):
+    # floats include NaN and the infinities, which json.dumps writes as NaN and Infinity
+    _assert_exit_contract(*_main_in_process(*run))
+
+
+_COUNTS = {"--n": st.integers(-3, 7), "--trials": st.integers(-2, 40), "--jobs": st.sampled_from([-1, 0, 1])}
+_KEYS = st.sampled_from([-1, 0, 2**64 - 1, 2**64])
+_ARGV_OPTIONS = {
+    "verify-cayley": {**_COUNTS, "--seed": _KEYS, "--json": None},
+    "check-conditionals": {**_COUNTS, "--seed": _KEYS, "--min-obs": st.integers(-1, 5), "--json": None},
+    "heights": {**_COUNTS, "--seed": _KEYS, "--method": st.sampled_from(["prufer", "rejection"])},
+    "sample-function": {"--n": _COUNTS["--n"], "--seed": _KEYS, "--stream": _KEYS, "--dot": None},
+    "sample-tree": {
+        "--n": _COUNTS["--n"], "--seed": _KEYS, "--stream": _KEYS,
+        "--method": st.sampled_from(["prufer", "rejection"]), "--dot": None,
+    },
+    "enumerate": {"--n": _COUNTS["--n"], "--json": None},
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with a random subset of its own options; --n is always
+    there, since leaving out a required option only reaches argparse."""
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    argv = [command]
+    for option, values in _ARGV_OPTIONS[command].items():
+        if option == "--n" or draw(st.booleans()):
+            argv += [option] if values is None else [option, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_argvs())
+def test_any_counts_and_keys_keep_the_exit_contract(argv):
+    _assert_exit_contract(*_main_in_process(argv, ""))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -155,12 +156,13 @@ def test_sample_collision_count_mean_n365():
 
 
 def test_law_equality_report_trivial_n1():
-    with pytest.warns(UserWarning, match="df=0"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # df = 0 is reported in the checks, not warned
         rep = law_equality_report(1, 100, SEED)
     assert rep.height_plus_one.counts == (100,)
     assert rep.collision.counts == (100,)
     for check in rep.checks:
-        assert check.statistic == 0.0
+        assert (check.statistic, check.df) == (0.0, 0)
     assert rep.passed
 
 

@@ -476,12 +476,14 @@ def test_chi_square_merges_sparse_tail():
     assert stat == pytest.approx(0.0)
 
 
-def test_chi_square_degenerate_single_bin_warns():
+def test_chi_square_degenerate_single_bin_has_df_0():
+    # one pooled bin: both tests return df 0 and leave the reporting to the caller
     pmf = {1: Fraction(1)}
     h = Histogram(1, (3,), 3)
-    with pytest.warns(UserWarning, match="df=0"):
-        stat, df = chi_square_statistic(h, pmf)
-    assert df == 0 and stat == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chi_square_statistic(h, pmf) == (0.0, 0)
+        assert two_sample_chi_square(h, h) == (0.0, 0)
 
 
 def test_chi_square_validation():

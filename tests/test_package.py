@@ -108,6 +108,15 @@ def test_no_module_imports_dataclasses():
     assert _modules_importing("dataclasses") == []
 
 
+def test_only_the_cli_writes_to_stdout_or_stderr():
+    # the library returns what it finds, df = 0 included, and raises no warnings
+    package = pathlib.Path(cayleykit.__file__).resolve().parent
+    writes = re.compile(r"\bprint\(|\bsys\.std(out|err)\b")
+    library = [path for path in sorted(package.glob("*.py")) if path.name != "cli.py"]
+    assert [path.name for path in library if writes.search(path.read_text())] == []
+    assert _modules_importing("warnings") == []
+
+
 def test_no_module_imports_scipy():
     # scipy is a test dependency only: the oracle for the chi-square quantile
     assert _modules_importing("scipy") == []
