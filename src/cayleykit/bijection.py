@@ -258,7 +258,7 @@ def prufer_parent_rows(words: np.ndarray, n: int) -> np.ndarray:
     """prufer_parents for a batch of words, 0-based: parent rows toward n-1.
 
     Row j of words holds a word over [0, n) of length max(n-2, 0); row j
-    of the result is its tree's parent array with labels shifted down by
+    of the result is its tree's parent array with labels lowered by
     one, and -1 in slot n-1.  All words are decoded at once: each step
     joins every row's smallest leaf, argmax(deg == 1), to the row's
     next word entry.

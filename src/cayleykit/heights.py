@@ -32,6 +32,10 @@ if TYPE_CHECKING:
 #: after n attempts on average, so hitting this means the RNG is broken.
 ATTEMPT_CAP_FACTOR = 10_000
 
+#: Largest n at which _prufer_heights decodes all words at once, O(n^2) per word, not
+#: each by prufer_parents; the two cross near n = 1000 (2-core x86-64 host).
+_ROWS_DECODE_MAX_N = 1000
+
 _EPS = 2.0**-53  # half the spacing of floats at 1
 _TINY = 1e-300  # stands in for a zero denominator in Lentz's method
 
@@ -90,29 +94,6 @@ def sample_rooted_tree_prufer(n: int, stream: RngStream) -> RootedTree:
     return _sample_tree_prufer(stream.draws(), n)
 
 
-def _sample_height(gen: _Draws | np.random.Generator, n: int, method: str) -> int:
-    """The height of a uniform vertex in a tree drawn by the given sampler."""
-    if method == "rejection":
-        tree = _sample_tree_rejection(gen, n)[0]
-    elif method == "prufer":
-        tree = _sample_tree_prufer(gen, n)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
-    return tree.depth(int(gen.integers(1, n + 1)))
-
-
-def _sample_collision(gen: _Draws | np.random.Generator, n: int) -> int:
-    # n+1 draws always suffice: by then some value must have repeated
-    ys = gen.integers(1, n + 1, size=n + 1)
-    seen = set()
-    for y in ys:
-        y = int(y)
-        if y in seen:
-            return len(seen)
-        seen.add(y)
-    raise AssertionError("unreachable: n+1 draws from [1..n] must repeat")
-
-
 def sample_collision_count(n: int, stream: RngStream) -> int:
     """Distinct uniform draws on [1..n] seen before the first repeat.
 
@@ -122,7 +103,12 @@ def sample_collision_count(n: int, stream: RngStream) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _sample_collision(stream.draws(), n)
+    seen = set()
+    for y in stream.draws().integers(1, n + 1, size=n + 1):  # n+1 draws must repeat
+        if y in seen:
+            return len(seen)
+        seen.add(y)
+    raise AssertionError("unreachable: n+1 draws from [1..n] must repeat")
 
 
 class ChiSquareCheck(Record):
@@ -166,9 +152,10 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     """The Prufer sampler's height on each stream.
 
     Draws [0, n-2) are the word, draw n-2 the root and draw n-1 the
-    vertex.  All words are decoded at once toward vertex n (0-based
-    n-1) by prufer_parent_rows.  The height is dist(root, vertex): the
-    climb from the vertex to the first ancestor of the root, plus that
+    vertex.  The words are decoded toward vertex n (0-based n-1): all at
+    once by prufer_parent_rows up to _ROWS_DECODE_MAX_N, one by one by
+    prufer_parents above.  The height is dist(root, vertex): the climb
+    from the vertex to the first ancestor of the root, plus that
     ancestor's distance to the root.
     """
     import numpy as np
@@ -177,7 +164,10 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     rows = montecarlo._bounded_draws(n, master_seed, streams, 0, n)[0]
     r = np.arange(len(rows))
     word, root, vertex = rows[:, : n - 2], rows[:, n - 2], rows[:, n - 1]
-    parent = prufer_parent_rows(word, n)
+    if n <= _ROWS_DECODE_MAX_N:
+        parent = prufer_parent_rows(word, n)
+    else:  # 1-based parents, NO_PARENT (0) at n, lowered to prufer_parent_rows' labels
+        parent = np.array([prufer_parents(PruferSequence(n, w)) for w in (word + 1).tolist()]) - 1
     up = np.full((len(rows), n), -1)  # up[j, a]: distance from root to its ancestor a
     live, a, d = r, root, 0
     while live.size:
@@ -195,26 +185,28 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
     """The rejection sampler's height on each stream.
 
     Attempt j is draws [jn, (j+1)n) and the vertex is the draw after the
-    first accepted attempt.  Each segment draws the next attempts of the
-    streams still pending, about n per stream of the chunk in all, with
-    the streams a Lemire rejection has shifted marked for _bounded_draws.
-    The height, the number of f-steps from the vertex to the fixed point,
-    is summed by core._pointer_doubling over all accepted tables at once.
+    first accepted attempt.  Each segment reads the next attempts of the
+    streams still pending from their cursors, about n per stream of the
+    chunk in all and at most _CHUNK_DRAWS // n per stream, and one draw
+    ahead.  A pending stream's next segment starts one half back, on the
+    half of that draw: the halves between it and the last attempt's were
+    rejected.  The height, the number of f-steps from the vertex to the
+    fixed point, is summed by core._pointer_doubling over all accepted
+    tables at once.
     """
     import numpy as np
     from . import montecarlo
 
     cap = ATTEMPT_CAP_FACTOR * n
     heights = np.full(len(streams), -1)
-    pending = np.arange(len(streams))
-    shifted = np.zeros(len(streams), dtype=bool)
-    attempt = 0
+    pending, cursors, attempt = np.arange(len(streams)), 0, 0
     while pending.size:
         if attempt >= cap:
             raise _attempt_cap_error(n)
-        count = min(cap - attempt, max(1, len(streams) * n // pending.size))
-        rows, shifted[pending] = montecarlo._bounded_draws(
-            n, master_seed, streams[pending], attempt * n, count * n + 1, shifted[pending]
+        count = min(len(streams) * n // pending.size, montecarlo._CHUNK_DRAWS // n)
+        count = min(cap - attempt, max(1, count))
+        rows, cursors = montecarlo._bounded_draws(
+            n, master_seed, streams[pending], cursors, count * n + 1
         )
         tables = rows[:, : count * n].reshape(-1, count, n)
         accepted = montecarlo._unique_cyclic_mask(tables.reshape(-1, n)).reshape(-1, count)
@@ -225,7 +217,7 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
         # height(v) = #{s < 2^t : f^s(v) != root}; the root is f's only fixed point
         depth = _pointer_doubling(f, np.add, (f != np.arange(n)).ravel().astype(np.int64))[1]
         heights[pending[done]] = depth[v]
-        pending = pending[~found]
+        pending, cursors = pending[~found], cursors[~found] - 1
         attempt += count
     return heights
 
@@ -261,12 +253,9 @@ def tally_law_histograms(
 
     Trial i draws its height sample from stream 2i and its collision
     sample from stream 2i+1, keeping the two sequences independent and
-    any trial partition reproducible.  For n <= _VECTOR_MAX_N each chunk
-    of trials is drawn at once and tallied by array kernels that give
-    the per-trial samplers' values on every stream; at larger n each
-    stream goes through the per-trial sampler on a re-keyed generator.
-    (The kernels' cost per trial grows faster in n: the Prufer decode is
-    O(n^2) per tree.)
+    any trial partition reproducible.  Each chunk of trials is drawn at
+    once and tallied by array kernels that give the per-trial samplers'
+    values on every stream, at every n.
     """
     kernel = _HEIGHT_KERNELS.get(method)
     if kernel is None:
@@ -279,15 +268,9 @@ def tally_law_histograms(
     counts = np.zeros((2, n), dtype=np.int64)
     draws_per_trial = n * n if method == "rejection" else n + 1  # on average
     for lo, hi in montecarlo._chunk_ranges(start, stop, draws_per_trial):
-        if n <= montecarlo._VECTOR_MAX_N:
-            streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64))
-            counts[0] += np.bincount(kernel(n, master_seed, streams), minlength=n)
-            counts[1] += np.bincount(_collision_bins(n, master_seed, streams + 1), minlength=n)
-            continue
-        gens = montecarlo._keyed_generators(master_seed, range(2 * lo, 2 * hi))
-        for gen in gens:  # streams 2i and 2i + 1; each generator is used before the next
-            counts[0, _sample_height(gen, n, method)] += 1
-            counts[1, _sample_collision(next(gens), n) - 1] += 1
+        streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64))
+        counts[0] += np.bincount(kernel(n, master_seed, streams), minlength=n)
+        counts[1] += np.bincount(_collision_bins(n, master_seed, streams + 1), minlength=n)
     return counts[0].tolist(), counts[1].tolist()
 
 
@@ -394,7 +377,7 @@ def law_equality_report(
     Builds the two sampled histograms, tests each against the exact
     collision pmf and the pair against each other, and (for n small
     enough to enumerate) adds the exact rational identity between the
-    shifted height pmf and the collision pmf.  All tests use the given
+    pmf of 1+H and the collision pmf.  All tests use the given
     level's chi-square critical values.  A check whose mass pools into
     one bin has df 0 and critical value 0; it is reported, not warned.
     """
@@ -422,8 +405,8 @@ def law_equality_report(
         checks.append(ChiSquareCheck(label, stat, df, crit, stat <= crit))
     exact_equal = None
     if n <= 6:  # larger n would cost a full n^n enumeration
-        shifted = exact_height_pmf(n)  # entry h is P(H=h), i.e. P(1+H = h+1)
-        exact_equal = tuple(shifted) == tuple(exact_collision_pmf(n))
+        height_pmf = exact_height_pmf(n)  # entry h is P(H=h), i.e. P(1+H = h+1)
+        exact_equal = tuple(height_pmf) == tuple(exact_collision_pmf(n))
     return LawEqualityReport(
         n=n,
         trials=trials,

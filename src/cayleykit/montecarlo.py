@@ -99,10 +99,10 @@ _PHILOX_M = tuple(np.uint64(m) for m in core._PHILOX_M)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-#: Longest windows (in 32-bit draws) that _bounded_draws computes with
-#: the vectorised Philox, and the largest n of the heights kernels.  Its
-#: cost grows about 4x faster in the window length than numpy's C kernel
-#: re-keyed per row; the two cross near 270 draws (2-core x86-64 host).
+#: Longest windows (in 32-bit halves) that _window computes with the
+#: vectorised Philox; longer ones, at any n, come from numpy's Philox
+#: re-keyed per row.  The two costs cross near 270 halves, the former
+#: growing about 4x faster in the window (2-core x86-64 host).
 _VECTOR_MAX_N = 256
 
 #: 32-bit draws per chunk of trials in the batched consumers; bounds
@@ -120,15 +120,16 @@ def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * m_hi + (u >> _S32) + (v >> _S32), a * m
 
 
-def _philox_words(master_seed: int, indices: np.ndarray, first: int, blocks: int) -> np.ndarray:
-    """Words of blocks first+1 .. first+blocks of each stream (master_seed, indices[j]).
+def _philox_words(master_seed: int, indices: np.ndarray, first: np.ndarray, blocks: int) -> np.ndarray:
+    """Words of blocks first[j]+1 .. first[j]+blocks of each stream (master_seed, indices[j]).
 
     Block c is Philox4x64-10 of counter [c, 0, 0, 0] under key
     (master_seed, i); numpy's Philox emits the blocks c = 1, 2, ... in turn.
     """
-    # broadcastable starting shapes: the first rounds, before the key
-    # word i has reached every word, run on per-counter vectors
-    x0 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)[None, :]
+    # broadcastable starting shapes (a first of one entry serves every
+    # stream): the first rounds, before the key word i has reached every
+    # word, run on per-counter vectors
+    x0 = first.astype(np.uint64)[:, None] + np.arange(1, blocks + 1, dtype=np.uint64)
     x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)
     k0, k1 = master_seed, indices[:, None]
     for r in range(10):
@@ -141,55 +142,70 @@ def _philox_words(master_seed: int, indices: np.ndarray, first: int, blocks: int
     return np.stack([x0, x1, x2, x3], axis=-1).reshape(len(indices), 4 * blocks)
 
 
-def _bounded_draws(
-    n: int, master_seed: int, indices: np.ndarray, offset: int, length: int, shifted=False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row j: integers(0, n, size=offset + length)[offset:] on stream (master_seed, indices[j]).
-
-    numpy hands out a Philox stream's 32-bit halves contiguously across
-    integers() calls and replaces a draw Lemire's method rejects by the
-    next half, so until a stream's first rejection its p-th draw comes
-    from its p-th half: those rows are computed at once.  Rows shifted
-    by a rejection, in the window or (row mask shifted) before it, are
-    redrawn on numpy's generator; the mask of these is returned too.
-    """
-    first, skip = divmod(offset, 8)  # a Philox block holds eight 32-bit draws
-    blocks = -(-(skip + length) // 8)
-    source = _philox_words if 8 * blocks <= _VECTOR_MAX_N else _keyed_words
-    words = source(master_seed, indices, first, blocks)
-    # little-endian 32-bit views: each word's low half first, then its high half
-    draws = words.astype("<u8", copy=False).view("<u4")[:, skip : skip + length]
-    scaled = (draws * np.uint64(n)).view("<u4").reshape(len(indices), length, 2)
-    rejected = (scaled[:, :, 0] < (1 << 32) % n).any(axis=1) | shifted
-    rows = scaled[:, :, 1].astype(np.int64)
-    redraw = np.flatnonzero(rejected)
-    for j, gen in zip(redraw, _keyed_generators(master_seed, indices[redraw].tolist())):
-        rows[j] = gen.integers(0, n, size=offset + length)[offset:]
-    return rows, rejected
-
-
-def _keyed_generators(master_seed: int, indices: Iterable[int]):
-    """numpy's generator at the start of stream (master_seed, i), for each i in turn.
+def _keyed_words(master_seed: int, indices: np.ndarray, first: np.ndarray, blocks: int) -> np.ndarray:
+    """_philox_words from numpy's Philox re-keyed per stream; faster for long rows.
 
     One Philox is re-keyed through its state for each stream instead of
-    built anew, which would also seed it from OS entropy first.  Every
-    item is the same generator: use it before taking the next.
+    built anew, which would also seed it from OS entropy first.
     """
     bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
     fresh = bits.state  # counter 0, empty buffer: the state of a new stream
-    for i in indices:
+    words = np.empty((len(indices), 4 * blocks), dtype=np.uint64)
+    firsts = np.broadcast_to(first, indices.shape).tolist()
+    for j, (i, c) in enumerate(zip(indices.tolist(), firsts)):
         fresh["state"]["key"] = (master_seed, i)
         bits.state = fresh
-        yield gen
-
-
-def _keyed_words(master_seed: int, indices: np.ndarray, first: int, blocks: int) -> np.ndarray:
-    """_philox_words from numpy's Philox re-keyed per stream; faster for long rows."""
-    words = np.empty((len(indices), 4 * blocks), dtype=np.uint64)
-    for j, gen in enumerate(_keyed_generators(master_seed, indices.tolist())):
-        words[j] = gen.bit_generator.advance(first).random_raw(4 * blocks)
+        words[j] = bits.advance(c).random_raw(4 * blocks)
     return words
+
+
+def _window(n: int, master_seed: int, indices: np.ndarray, cursors: np.ndarray, width: int):
+    """Lemire's values, and which are accepted, of halves [c, c + width) of each stream.
+
+    c is the stream's cursor.  Equal cursors share one start and slice.
+    """
+    first, skip = np.divmod(cursors, 8)  # a Philox block holds eight 32-bit halves
+    same = (cursors == cursors[:1]).all()
+    start = int(skip.max(initial=0))  # the one skip, when the cursors are equal
+    blocks = -(-(start + width) // 8)
+    source = _philox_words if 8 * blocks <= _VECTOR_MAX_N else _keyed_words
+    words = source(master_seed, indices, first[:1] if same else first, blocks)
+    halves = words.astype("<u8", copy=False).view("<u4")  # little-endian: low half first
+    if same:
+        draws = halves[:, start : start + width]
+    else:
+        draws = np.take_along_axis(halves, skip[:, None] + np.arange(width), axis=1)
+    scaled = (draws * np.uint64(n)).view("<u4").reshape(len(indices), width, 2)
+    return scaled[:, :, 1].astype(np.int64), scaled[:, :, 0] >= (1 << 32) % n
+
+
+def _bounded_draws(
+    n: int, master_seed: int, indices: np.ndarray, cursors, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each stream's next length values of integers(0, n), and its cursor after them.
+
+    cursors[j] (or one cursor for all) counts the 32-bit halves that
+    stream (master_seed, indices[j]) has handed out.  numpy hands them
+    out contiguously across integers() calls, and Lemire's method drops
+    a half it rejects for the next, so a row without a rejection reads
+    halves [c, c + length).  A row with one is read again from its
+    cursor with a few halves of slack, its rejected halves dropped, and
+    wider until it holds length values (length >= 1).  The cursor
+    returned is one past the half of the row's last value.
+    """
+    cursors = np.zeros(len(indices), dtype=np.int64) + cursors
+    rows, kept = _window(n, master_seed, indices, cursors, length)
+    ends, todo, width = cursors + length, np.flatnonzero(~kept.all(axis=1)), length
+    while todo.size:
+        width += max(8, width - length)
+        values, kept = _window(n, master_seed, indices[todo], cursors[todo], width)
+        tally = np.cumsum(kept, axis=1)
+        full = tally[:, -1] >= length
+        done = todo[full]
+        rows[done] = values[full][kept[full] & (tally[full] <= length)].reshape(-1, length)
+        ends[done] = cursors[done] + (tally[full] < length).sum(axis=1) + 1
+        todo = todo[~full]
+    return rows, ends
 
 
 def draw_tables(n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
@@ -200,9 +216,9 @@ def draw_tables(n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
     keyed (master_seed, i) with counters from 1; each 64-bit word gives
     two 32-bit draws, low half first; Lemire's multiply-shift maps a
     draw u to (u * n) >> 32 and rejects it when the leftover
-    (u * n) mod 2**32 is below 2**32 mod n.  _bounded_draws computes the
-    rows and redraws those with a rejection.  The working set grows with
-    (stop - start) * n: draw long ranges in chunks.
+    (u * n) mod 2**32 is below 2**32 mod n, for the next half;
+    _bounded_draws reads the rows, none redrawn.  The working set grows
+    with (stop - start) * n: draw long ranges in chunks.
     """
     if not 1 <= n < 1 << 32:
         raise ValueError(f"n must be in [1, 2**32), got {n}")

@@ -127,9 +127,11 @@ _MERGED = "all probability mass merged into one bin; df=0"
         (30, "rejection", 500, 56, 0, 0),
         (50, "prufer", 2000, 57, 0, 0),
         (50, "rejection", 300, 58, 0, 0),
-        # past the vectorised draws: every trial runs through _sample_height
+        # past the vectorised Philox: the kernels read windows of numpy's Philox
         (257, "prufer", 300, 2**64 - 1, 0, 0),
         (257, "rejection", 40, 2**64 - 1, 1, 2),  # 40 trials over 257 bins: a FAIL
+        (300, "rejection", 40, 2**64 - 1, 0, 2),  # segments read from per-stream cursors
+        (1000, "prufer", 300, 2**64 - 1, 0, 0),  # the last n of the all-at-once decode
     ],
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])

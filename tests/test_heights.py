@@ -19,12 +19,21 @@ from cayleykit.heights import (
     _collision_bins,
     _prufer_heights,
     _rejection_heights,
-    _sample_collision,
-    _sample_height,
     tally_law_histograms,
 )
 
 SEED = 52525
+
+
+def _sample_height(gen, n, method):
+    """The height of a uniform vertex in a tree drawn by the given sampler: the kernels' oracle."""
+    if method == "rejection":
+        tree = heights._sample_tree_rejection(gen, n)[0]
+    elif method == "prufer":
+        tree = heights._sample_tree_prufer(gen, n)
+    else:
+        raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
+    return tree.depth(int(gen.integers(1, n + 1)))
 
 
 def test_rejection_sampler_trivial_n1():
@@ -217,8 +226,7 @@ def _per_trial_tallies(n, seed, start, stop, method):
     for trial in range(start, stop):
         gen_h = RngStream(seed, 2 * trial).generator()
         h_counts[_sample_height(gen_h, n, method)] += 1
-        gen_c = RngStream(seed, 2 * trial + 1).generator()
-        c_counts[_sample_collision(gen_c, n) - 1] += 1
+        c_counts[sample_collision_count(n, RngStream(seed, 2 * trial + 1)) - 1] += 1
     return h_counts, c_counts
 
 
@@ -239,8 +247,9 @@ def test_batched_tallies_match_per_trial_samplers(monkeypatch, n, method, seed):
 def test_integers_calls_hand_out_one_contiguous_stream():
     # numpy's Philox gives its 32-bit draws contiguously across integers()
     # calls, a half left over by one call opening the next, and a Lemire
-    # redraw takes the next half; so every heights stream is a prefix of
-    # one bounded-draw row.  Stream 99469 rejects in its first n draws.
+    # rejection takes the next half; so every heights stream is read by
+    # bounded-draw windows at its half cursor.  Stream 99469 rejects in
+    # its first n draws.
     n, seed = 244, 90125
     for stream in (99469, 3):
         def gen():
@@ -253,16 +262,37 @@ def test_integers_calls_hand_out_one_contiguous_stream():
         g = gen()
         parts = [g.integers(0, n, size=3), [g.integers(0, n)], [g.integers(0, n)], g.integers(0, n, size=2)]
         assert np.array_equal(np.concatenate(parts), gen().integers(0, n, size=7))
-        draws, rejected = montecarlo._bounded_draws(n, seed, np.array([stream], dtype=np.uint64), 0, n)
-        assert rejected[0] == (stream == 99469)
-        if not rejected[0]:
-            assert np.array_equal(draws[0], gen().integers(0, n, size=n))
-        # a later window, with the rows marked shifted by a rejection before it redrawn
+        index = np.array([stream], dtype=np.uint64)
+        draws, cursors = montecarlo._bounded_draws(n, seed, index, 0, n)
+        assert (cursors[0] > n) == (stream == 99469)  # a rejected half moves the cursor on
+        assert np.array_equal(draws[0], gen().integers(0, n, size=n))
+        # a later window, read from the cursor an earlier window returned
         offset, length = n + 5, 20
-        draws, _ = montecarlo._bounded_draws(
-            n, seed, np.array([stream], dtype=np.uint64), offset, length, rejected
-        )
+        cursors = montecarlo._bounded_draws(n, seed, index, 0, offset)[1]
+        draws, _ = montecarlo._bounded_draws(n, seed, index, cursors, length)
         assert np.array_equal(draws[0], gen().integers(0, n, size=offset + length)[offset:])
+
+
+@pytest.mark.parametrize("n", [7, 244, 2000, 3 * 2**30, 2**31 + 1])
+def test_bounded_draws_read_successive_windows_like_integers(n):
+    # 2**32 mod n rejects about 1/4 of the halves at 3 * 2**30 and 1/2
+    # at 2**31 + 1, so there every row is read again, and widened
+    seed, indices = 90125, np.arange(99_440, 99_480, dtype=np.uint64)  # 99469 rejects at n = 244
+    for windows in ((5, 3, 17), (1, 1, 1, 40), (300, 2)):
+        gens = [RngStream(seed, int(i)).generator() for i in indices]
+        cursors = 0
+        for length in windows:
+            draws, after = montecarlo._bounded_draws(n, seed, indices, cursors, length)
+            assert np.array_equal(draws, [g.integers(0, n, size=length) for g in gens])
+            assert (after >= cursors + length).all()
+            # the last value's half is the one before the cursor: one half back re-reads it
+            again = montecarlo._bounded_draws(n, seed, indices, after - 1, 1)[0]
+            assert np.array_equal(again[:, 0], draws[:, -1])
+            cursors = after
+
+
+def _per_stream(seed, sample, indices):
+    return [sample(RngStream(seed, int(i))) for i in indices]
 
 
 def test_kernels_read_lemire_rejecting_streams_exactly():
@@ -271,30 +301,29 @@ def test_kernels_read_lemire_rejecting_streams_exactly():
     # the Prufer height stream of trial 78854; the rejection-sampler
     # streams of trials 11 (a rejection in attempt 394, a segment before
     # its acceptance at 982) and 1063 (attempt 242, accepted at 554: the
-    # first segment of n attempts ends pending, even on the shifted
-    # draws); the collision streams of trials 49734 (stream 99469, after
-    # its first repeat) and 3816877 (before it)
+    # first segment of n attempts ends pending, its cursor moved on);
+    # the collision streams of trials 49734 (stream 99469, after its
+    # first repeat) and 3816877 (before it)
     n, seed = 244, 90125
 
     def streams(*trials):
         return np.array(trials, dtype=np.uint64)
 
-    def per_stream(sample, indices):
-        return [sample(RngStream(seed, int(i)).generator()) for i in indices]
-
-    def rejects(indices, length):
-        return montecarlo._bounded_draws(n, seed, indices, 0, length)[1].tolist()
+    def rejects(indices, length):  # a rejected half moves a row's cursor past its length
+        return (montecarlo._bounded_draws(n, seed, indices, 0, length)[1] > length).tolist()
 
     s = 2 * streams(78853, 78854)
     assert rejects(s, n)[1]
-    assert list(_prufer_heights(n, seed, s)) == per_stream(lambda g: _sample_height(g, n, "prufer"), s)
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "prufer"), s)
+    assert list(_prufer_heights(n, seed, s)) == want
     s = 2 * streams(10, 11, 1063)
     assert rejects(s, 400 * n)[1:] == [True, True]
-    want = per_stream(lambda g: _sample_height(g, n, "rejection"), s)
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "rejection"), s)
     assert list(_rejection_heights(n, seed, s)) == want
     s = 2 * streams(49734, 3816877) + 1
     assert rejects(s, n + 1) == [True, True]
-    assert list(_collision_bins(n, seed, s)) == per_stream(lambda g: _sample_collision(g, n) - 1, s)
+    want = _per_stream(seed, lambda r: sample_collision_count(n, r) - 1, s)
+    assert list(_collision_bins(n, seed, s)) == want
     for start, stop, method in [
         (78850, 78858, "prufer"),
         (9, 13, "rejection"),
@@ -304,6 +333,36 @@ def test_kernels_read_lemire_rejecting_streams_exactly():
     ]:
         got = tally_law_histograms(n, seed, start, stop, method)
         assert got == _per_trial_tallies(n, seed, start, stop, method)
+
+
+def test_kernels_match_the_per_stream_samplers_at_large_n():
+    seed = 90125
+    s = np.arange(6, dtype=np.uint64) * 2
+    for n in (heights._ROWS_DECODE_MAX_N, heights._ROWS_DECODE_MAX_N + 1):  # either decode
+        want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "prufer"), s)
+        assert list(_prufer_heights(n, seed, s)) == want
+    n = 1000
+    want = _per_stream(seed, lambda r: sample_collision_count(n, r) - 1, s + 1)
+    assert list(_collision_bins(n, seed, s + 1)) == want
+    # at n = 2000 a segment holds 32 attempts.  Trial 184's height stream
+    # 368 rejects a half in attempt 4 and accepts attempt 174, so five
+    # segments read it from a cursor moved on, beside the unmoved cursor
+    # of trial 155's stream 310 (accepted at attempt 83)
+    n, s = 2000, 2 * np.array([155, 184], dtype=np.uint64)
+    assert (montecarlo._bounded_draws(n, seed, s, 0, 5 * n)[1] > 5 * n).tolist() == [False, True]
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "rejection"), s)
+    assert list(_rejection_heights(n, seed, s)) == want
+
+
+def test_rejection_kernel_reads_a_vertex_past_its_segment(monkeypatch):
+    # segments of 3 attempts: about a third of the trees are accepted in
+    # a segment's last attempt, whose vertex is the draw read ahead; a
+    # pending stream's next segment reads that draw again
+    n, seed = 30, 90125
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 3 * n)
+    s = np.arange(40, dtype=np.uint64)
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "rejection"), s)
+    assert list(_rejection_heights(n, seed, s)) == want
 
 
 def test_batched_rejection_tallies_keep_the_attempt_cap(monkeypatch):
@@ -320,14 +379,13 @@ def test_law_equality_report_validates_n_first():
                 law_equality_report(n, 10, SEED, method=method)
 
 
-@pytest.mark.parametrize("n", [5, 300])  # the vectorised kernels, then the per-trial samplers
+@pytest.mark.parametrize("n", [5, 300])  # windows on the vectorised Philox, then on numpy's
 def test_tally_law_histograms_rejects_an_unknown_method_before_any_trial(monkeypatch, n):
     def no_trial(*args):
         raise AssertionError("a sampler ran")
 
     monkeypatch.setattr(heights, "_HEIGHT_KERNELS", {"prufer": no_trial, "rejection": no_trial})
-    for name in ("_collision_bins", "_sample_height", "_sample_collision"):
-        monkeypatch.setattr(heights, name, no_trial)
+    monkeypatch.setattr(heights, "_collision_bins", no_trial)
     with pytest.raises(ValueError) as info:
         heights.tally_law_histograms(n, 1, 0, 3, "bogus")
     assert str(info.value) == "unknown method 'bogus'; use 'rejection' or 'prufer'"
