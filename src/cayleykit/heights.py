@@ -14,12 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .bijection import (
-    PruferSequence,
-    mapping_to_rooted_tree,
-    prufer_parent_rows,
-    prufer_parents,
-)
+from .bijection import PruferSequence, mapping_to_rooted_tree, prufer_parent_rows, prufer_parents
 from .core import Mapping, Record, RngStream, RootedTree, _pointer_doubling, unique_cyclic_vertex
 
 if TYPE_CHECKING:
@@ -103,12 +98,13 @@ def sample_collision_count(n: int, stream: RngStream) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    seen = set()
-    for y in stream.draws().integers(1, n + 1, size=n + 1):  # n+1 draws must repeat
-        if y in seen:
-            return len(seen)
-        seen.add(y)
-    raise AssertionError("unreachable: n+1 draws from [1..n] must repeat")
+    draws, seen, size = stream.draws(), set(), max(8, 2 * math.isqrt(2 * n))
+    while True:  # 2 sqrt(2n) draws repeat w.p. about 1 - e^-4; doubling, never past n+1
+        for y in draws.integers(1, n + 1, size=min(size, n + 1 - len(seen))):
+            if y in seen:
+                return len(seen)
+            seen.add(y)
+        size *= 2
 
 
 class ChiSquareCheck(Record):
@@ -253,9 +249,9 @@ def tally_law_histograms(
 
     Trial i draws its height sample from stream 2i and its collision
     sample from stream 2i+1, keeping the two sequences independent and
-    any trial partition reproducible.  Each chunk of trials is drawn at
-    once and tallied by array kernels that give the per-trial samplers'
-    values on every stream, at every n.
+    any trial partition reproducible.  Each kernel draws chunks of trials
+    at once, sized by its own draws per trial, and gives the per-trial
+    samplers' values on every stream, at every n.
     """
     kernel = _HEIGHT_KERNELS.get(method)
     if kernel is None:
@@ -266,11 +262,11 @@ def tally_law_histograms(
     if stop > start:
         RngStream(master_seed, 2 * stop - 1)  # validates the seed and the last stream
     counts = np.zeros((2, n), dtype=np.int64)
-    draws_per_trial = n * n if method == "rejection" else n + 1  # on average
-    for lo, hi in montecarlo._chunk_ranges(start, stop, draws_per_trial):
-        streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64))
-        counts[0] += np.bincount(kernel(n, master_seed, streams), minlength=n)
-        counts[1] += np.bincount(_collision_bins(n, master_seed, streams + 1), minlength=n)
+    kernels = ((kernel, n * n if method == "rejection" else n + 1), (_collision_bins, n + 1))
+    for parity, (sample, draws_per_trial) in enumerate(kernels):
+        for lo, hi in montecarlo._chunk_ranges(start, stop, draws_per_trial):
+            streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)) + np.uint64(parity)
+            counts[parity] += np.bincount(sample(n, master_seed, streams), minlength=n)
     return counts[0].tolist(), counts[1].tolist()
 
 

@@ -1,7 +1,11 @@
 import itertools
 
+import pytest
+
 from cayleykit import Mapping
 from cayleykit.enumeration import MAX_COUNT_N
+
+pytest.register_assert_rewrite("replay")  # before a test module imports the replay table
 
 
 def all_tables(n):

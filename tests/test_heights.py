@@ -15,6 +15,7 @@ from cayleykit import (
     sample_rooted_tree_rejection,
 )
 from cayleykit import heights, montecarlo
+from cayleykit.core import _PURE_DRAWS
 from cayleykit.heights import (
     _collision_bins,
     _prufer_heights,
@@ -162,6 +163,17 @@ def test_sample_collision_count_mean_n365():
     )
     se = math.sqrt(exact_var / trials)
     assert abs(total / trials - exact_mean) <= 4 * se
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 365, _PURE_DRAWS])  # n + 1 draws at once pass _PURE_DRAWS
+def test_sample_collision_count_stops_at_the_first_repeat_of_one_stream(n):
+    for i in range(50):
+        seen = set()
+        for y in RngStream(SEED, i).draws().integers(1, n + 1, size=n + 1):
+            if y in seen:
+                break
+            seen.add(y)
+        assert sample_collision_count(n, RngStream(SEED, i)) == len(seen), i
 
 
 def test_law_equality_report_trivial_n1():

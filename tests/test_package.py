@@ -1,15 +1,15 @@
 """The package's lazy import surface: names resolve on first access."""
 
 import importlib
-import os
 import pathlib
 import re
-import subprocess
-import sys
 
 import pytest
+from replay import CASES, LAYERS, SAMPLERS, fresh_python, replay
 
 import cayleykit
+
+DEMOS = pathlib.Path(__file__).parents[1] / "demos"
 
 # the public names of 0.3.0, when the package imported every module eagerly,
 # less the four that 0.4.0 removed (HeightSample, iterate,
@@ -31,69 +31,38 @@ PUBLIC_NAMES = [
     "unique_cyclic_vertex", "wilson_interval",
 ]
 
-LAYERS = ("core", "exploration", "bijection", "enumeration", "montecarlo", "heights")
-
-
 def test_import_loads_no_submodule_and_no_numpy():
-    code = (
-        "import sys, cayleykit; "
-        "print(sorted(m for m in sys.modules if m.startswith(('cayleykit.', 'numpy'))))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    code = "import sys, cayleykit; print(sorted(m for m in sys.modules if m.startswith(('cayleykit.', 'numpy'))))"
+    assert fresh_python("-c", code, site=False).stdout == b"[]\n"
 
 
 def test_single_object_samplers_start_without_numpy():
-    code = (
-        "import contextlib, io, sys\n"
-        "import cayleykit.heights\n"
-        "from cayleykit.cli import main\n"
-        "loaded = ['numpy' in sys.modules]\n"
-        "for argv in ('sample-function --n 12', 'sample-tree --n 30',\n"
-        "             'sample-tree --n 30 --method prufer', 'sample-tree --n 30 --dot'):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv.split()) == 0\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(loaded)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[False, False, False, False, False]\n"
-
-
-# Runs each command through cli.main in one interpreter started with -S
-# (no site hook may add modules) and prints which of the modules that only
-# dataclasses would pull in were loaded.
-_SHORT_COMMANDS = """
-import contextlib, io, json, sys
-from cayleykit.cli import main
-mapping = json.dumps({"n": 7, "table": [2, 3, 1, 5, 5, 4, 1]})
-calls = [
-    ("--version", ""), ("sample-function --n 12", ""), ("sample-tree --n 30", ""),
-    ("sample-tree --n 30 --method prufer", ""), ("trace", mapping), ("trace --dot", mapping),
-    ("prufer encode", json.dumps({"n": 4, "edges": [[1, 4], [2, 4], [3, 4]]})),
-    ("prufer decode", json.dumps({"n": 4, "seq": [4, 4]})),
-    ("joyal encode", mapping), ("joyal decode", json.dumps({"n": 2, "head": 2, "tail": 1, "parent": [0, 1]})),
-]
-for argv, stdin in calls:
-    sys.stdin = io.StringIO(stdin)
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv.split())
-        except SystemExit as exc:  # --version
-            code = exc.code
-    assert code == 0, argv
-print(sorted(m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules))
-"""
+    for case in SAMPLERS:
+        if "numpy" in case.banned:
+            replay(case)
 
 
 def test_short_commands_import_neither_dataclasses_nor_inspect():
-    src = pathlib.Path(cayleykit.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-S", "-c", _SHORT_COMMANDS], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    for case in CASES:
+        if "dataclasses" in case.banned:
+            replay(case)
+
+
+# enumerate --n 5 bans all of numpy under -S; it must keep numpy.ma out with site hooks too
+@pytest.mark.parametrize(
+    "case",
+    [case for case in CASES if case.banned and "numpy" not in case.banned]
+    + [case._replace(banned=("numpy.ma",)) for case in CASES if case.argv == "enumerate --n 5"],
+    ids=lambda case: f"{case.argv}-{'-'.join(case.banned)}",
+)
+def test_a_fresh_numeric_command_never_loads(case):
+    replay(case)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_exits_0(demo):
+    proc = fresh_python(str(demo))
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def _modules_importing(name):
@@ -120,26 +89,6 @@ def test_only_the_cli_writes_to_stdout_or_stderr():
 def test_no_module_imports_scipy():
     # scipy is a test dependency only: the oracle for the chi-square quantile
     assert _modules_importing("scipy") == []
-
-
-@pytest.mark.parametrize(
-    "argv, banned",
-    [("heights --n 20 --trials 200", "scipy"), ("enumerate --n 5", "numpy.ma"),
-     ("enumerate --n 6", "numpy.ma")],
-)
-def test_a_fresh_numeric_command_never_loads(argv, banned):
-    code = (
-        "import contextlib, io, sys\n"
-        "from cayleykit.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv.split()!r}) == 0\n"
-        f"print(sorted(m for m in sys.modules if m == {banned!r} or m.startswith({banned + '.'!r})))"
-    )
-    src = pathlib.Path(cayleykit.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
 
 
 def test_public_names_unchanged_and_resolve():
