@@ -2,10 +2,10 @@
 
 Every randomized subcommand takes an explicit seed (or the pinned
 default) and echoes it in its JSON output, so any run can be replayed
-byte for byte.  Exit status: 0 on success, 2 on input errors, and 1
-in two cases: a statistical verification failed (its report is on
-stdout), or the rejection sampler hit its attempt cap, which means a
-broken random source (an ``error:`` line on stderr, nothing on stdout).
+byte for byte.  Exit status: 0 on success, 2 on input errors, and 1 in
+three cases: a statistical verification failed (its report is on stdout),
+the rejection sampler hit its attempt cap (a broken random source), or
+numpy cannot be imported (each an ``error:`` line, nothing on stdout).
 Each command imports the layers it uses, so ``trace``, ``prufer``,
 ``joyal``, ``enumerate`` up to n = 5, ``sample-function`` and
 ``sample-tree`` start without numpy (the samplers load it only for a
@@ -357,6 +357,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ModuleNotFoundError as exc:  # numpy is a dependency; any other missing module is a bug
+        if exc.name != "numpy":
+            raise
+        print(f"error: this command needs numpy, which cannot be imported: {exc}", file=sys.stderr)
         return 1
 
 

@@ -392,7 +392,7 @@ def _philox_block(counter: int, round_keys: list[tuple[int, int]]) -> tuple[int,
 class _Draws:
     """numpy's Generator.integers on one stream, call for call, in pure Python.
 
-    Draws and Lemire rejections as in montecarlo.draw_tables.  A call that
+    Draws and Lemire rejections as in montecarlo._bounded_draws.  A call that
     would take the stream past _PURE_DRAWS draws, or has a span outside
     [1, 2**32], hands the stream to numpy's Philox at the same position
     for good; so does a first call for _NUMPY_FIRST_DRAWS draws or more

@@ -242,10 +242,9 @@ def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
 _HEIGHT_KERNELS = {"prufer": _prufer_heights, "rejection": _rejection_heights}
 
 
-def tally_law_histograms(
-    n: int, master_seed: int, start: int, stop: int, method: str
-) -> tuple[list[int], list[int]]:
-    """Histogram counts (values 1..n) for trials in [start, stop).
+def tally_law_histograms(n: int, master_seed: int, start: int, stop: int, method: str) -> np.ndarray:
+    """Histogram counts of trials [start, stop): row 0 of the heights, row 1
+    of the collision counts minus one, each over the values 0..n-1.
 
     Trial i draws its height sample from stream 2i and its collision
     sample from stream 2i+1, keeping the two sequences independent and
@@ -259,20 +258,12 @@ def tally_law_histograms(
     import numpy as np
     from . import montecarlo
 
-    if stop > start:
-        RngStream(master_seed, 2 * stop - 1)  # validates the seed and the last stream
     counts = np.zeros((2, n), dtype=np.int64)
     kernels = ((kernel, n * n if method == "rejection" else n + 1), (_collision_bins, n + 1))
     for parity, (sample, draws_per_trial) in enumerate(kernels):
-        for lo, hi in montecarlo._chunk_ranges(start, stop, draws_per_trial):
-            streams = 2 * (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)) + np.uint64(parity)
-            counts[parity] += np.bincount(sample(n, master_seed, streams), minlength=n)
-    return counts[0].tolist(), counts[1].tolist()
-
-
-def _merge_histograms(parts) -> tuple[list[int], list[int]]:
-    h_parts, c_parts = zip(*parts)
-    return [sum(c) for c in zip(*h_parts)], [sum(c) for c in zip(*c_parts)]
+        for streams in montecarlo._stream_chunks(master_seed, start, stop, draws_per_trial, stride=2):
+            counts[parity] += np.bincount(sample(n, master_seed, streams + np.uint64(parity)), minlength=n)
+    return counts
 
 
 def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
@@ -385,9 +376,7 @@ def law_equality_report(
     if method not in _HEIGHT_KERNELS:
         raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
     _critical_value(0, level)  # checks the level before any trial runs
-    h_counts, c_counts = run_trials(
-        tally_law_histograms, n, master_seed, trials, jobs, _merge_histograms, method
-    )
+    h_counts, c_counts = run_trials(tally_law_histograms, n, master_seed, trials, jobs, method, stride=2).tolist()
     hist_h = Histogram(1, tuple(h_counts), trials)
     hist_c = Histogram(1, tuple(c_counts), trials)
     pmf = {k: p for k, p in enumerate(exact_collision_pmf(n), start=1)}

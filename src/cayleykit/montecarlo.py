@@ -10,6 +10,7 @@ results bit for bit, sequentially or in parallel.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping as MappingABC
 
@@ -103,7 +104,7 @@ _S32 = np.uint64(32)
 #: vectorised Philox; longer ones, at any n, come from numpy's Philox
 #: re-keyed per row.  The two costs cross near 270 halves, the former
 #: growing about 4x faster in the window (2-core x86-64 host).
-_VECTOR_MAX_N = 256
+_VECTOR_MAX_HALVES = 256
 
 #: 32-bit draws per chunk of trials in the batched consumers; bounds
 #: their working set for any n.
@@ -168,7 +169,7 @@ def _window(n: int, master_seed: int, indices: np.ndarray, cursors: np.ndarray, 
     same = (cursors == cursors[:1]).all()
     start = int(skip.max(initial=0))  # the one skip, when the cursors are equal
     blocks = -(-(start + width) // 8)
-    source = _philox_words if 8 * blocks <= _VECTOR_MAX_N else _keyed_words
+    source = _philox_words if 8 * blocks <= _VECTOR_MAX_HALVES else _keyed_words
     words = source(master_seed, indices, first[:1] if same else first, blocks)
     halves = words.astype("<u8", copy=False).view("<u4")  # little-endian: low half first
     if same:
@@ -184,6 +185,12 @@ def _bounded_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each stream's next length values of integers(0, n), and its cursor after them.
 
+    Stream (master_seed, i) is Philox4x64-10 keyed (master_seed, i) with
+    counters from 1; each 64-bit word gives two 32-bit halves, low half
+    first; Lemire's multiply-shift maps a half u to (u * n) >> 32 and
+    rejects it, for the next half, when the leftover (u * n) mod 2**32
+    is below 2**32 mod n.  So a row equals
+    RngStream(master_seed, i).generator().integers(0, n) bit for bit.
     cursors[j] (or one cursor for all) counts the 32-bit halves that
     stream (master_seed, indices[j]) has handed out.  numpy hands them
     out contiguously across integers() calls, and Lemire's method drops
@@ -191,8 +198,11 @@ def _bounded_draws(
     halves [c, c + length).  A row with one is read again from its
     cursor with a few halves of slack, its rejected halves dropped, and
     wider until it holds length values (length >= 1).  The cursor
-    returned is one past the half of the row's last value.
+    returned is one past the half of the row's last value.  The working
+    set grows with len(indices) * length: read long ranges in chunks.
     """
+    if not 1 <= n < 1 << 32:
+        raise ValueError(f"n must be in [1, 2**32), got {n}")
     cursors = np.zeros(len(indices), dtype=np.int64) + cursors
     rows, kept = _window(n, master_seed, indices, cursors, length)
     ends, todo, width = cursors + length, np.flatnonzero(~kept.all(axis=1)), length
@@ -208,38 +218,18 @@ def _bounded_draws(
     return rows, ends
 
 
-def draw_tables(n: int, master_seed: int, start: int, stop: int) -> np.ndarray:
-    """0-based int64 tables of trials [start, stop), one row per trial.
+def _stream_chunks(master_seed: int, start: int, stop: int, draws_per_trial: int, stride: int = 1):
+    """uint64 arrays of the streams stride * i of trials i in [start, stop),
+    each array of about _CHUNK_DRAWS draws.
 
-    Row j equals RngStream(master_seed, start + j).generator()
-    .integers(0, n, size=n) bit for bit.  The stream is Philox4x64-10
-    keyed (master_seed, i) with counters from 1; each 64-bit word gives
-    two 32-bit draws, low half first; Lemire's multiply-shift maps a
-    draw u to (u * n) >> 32 and rejects it when the leftover
-    (u * n) mod 2**32 is below 2**32 mod n, for the next half;
-    _bounded_draws reads the rows, none redrawn.  The working set grows
-    with (stop - start) * n: draw long ranges in chunks.
+    The seed and the range's last stream, stride * stop - 1, are checked
+    first; a caller with stride 2 adds 0 or 1 to each array.
     """
-    if not 1 <= n < 1 << 32:
-        raise ValueError(f"n must be in [1, 2**32), got {n}")
-    RngStream(master_seed, start)  # validates the seed and the first index
-    if stop > _U64:
-        raise ValueError(f"stream indices must fit in 64 bits, got stop={stop}")
-    indices = np.uint64(start) + np.arange(max(stop - start, 0), dtype=np.uint64)
-    return _bounded_draws(n, master_seed, indices, 0, n)[0]
-
-
-def _chunk_ranges(start: int, stop: int, draws_per_trial: int):
-    """Consecutive (lo, hi) trial ranges of about _CHUNK_DRAWS draws each."""
-    step = max(1, _CHUNK_DRAWS // draws_per_trial)
+    if stop > start:
+        RngStream(master_seed, stride * stop - 1)
+    step = max(1, _CHUNK_DRAWS // max(draws_per_trial, 1))  # an n below 1 reaches _bounded_draws' check
     for lo in range(start, stop, step):
-        yield lo, min(lo + step, stop)
-
-
-def _table_chunks(n: int, master_seed: int, start: int, stop: int):
-    # max: an n below 1 must reach draw_tables' check, not divide by zero
-    for lo, hi in _chunk_ranges(start, stop, max(n, 1)):
-        yield draw_tables(n, master_seed, lo, hi)
+        yield np.uint64(stride) * (np.uint64(lo) + np.arange(min(step, stop - lo), dtype=np.uint64))
 
 
 def count_unique_cyclic(n: int, master_seed: int, start: int, stop: int) -> int:
@@ -249,23 +239,26 @@ def count_unique_cyclic(n: int, master_seed: int, start: int, stop: int) -> int:
     partition of the index range tallies to the same total.
     """
     return sum(
-        int(_unique_cyclic_mask(tables).sum())
-        for tables in _table_chunks(n, master_seed, start, stop)
+        int(_unique_cyclic_mask(_bounded_draws(n, master_seed, streams, 0, n)[0]).sum())
+        for streams in _stream_chunks(master_seed, start, stop, n)
     )
 
 
-def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, merge, *extra):
-    """worker(n, master_seed, lo, hi, *extra) over trials [0, trials).
+def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, *extra, stride: int = 1):
+    """The sum of worker(n, master_seed, lo, hi, *extra) over parts [lo, hi) of trials [0, trials).
 
-    With jobs > 1 the range is split into contiguous parts run in a
-    process pool and the parts' results are combined by merge, which
-    must not depend on how the range was split; each trial owns its
-    stream, so the result is the same for any jobs value.
+    Trial i reads streams stride * i onwards, so the seed and the run's
+    last stream, stride * trials - 1, are checked here, before any worker
+    starts.  With jobs > 1 the range is split into contiguous parts run
+    in a process pool.  The parts' results (ints, Counters or arrays) add
+    with +, and each trial owns its streams, so the sum is the same for
+    any jobs value.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    RngStream(master_seed, stride * trials - 1)
     if jobs == 1 or trials < 2 * jobs:
         return worker(n, master_seed, 0, trials, *extra)
     from concurrent.futures import ProcessPoolExecutor
@@ -276,7 +269,8 @@ def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, merge, 
             pool.submit(worker, n, master_seed, lo, min(lo + step, trials), *extra)
             for lo in range(0, trials, step)
         ]
-        return merge(f.result() for f in futures)
+        parts = [f.result() for f in futures]
+    return sum(parts[1:], parts[0])
 
 
 def estimate_unique_cyclic(
@@ -291,7 +285,7 @@ def estimate_unique_cyclic(
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < z < math.inf:  # wilson_interval's check, made before any trial runs
         raise ValueError(f"z must be finite and > 0, got {z}")
-    successes = run_trials(count_unique_cyclic, n, master_seed, trials, jobs, sum)
+    successes = run_trials(count_unique_cyclic, n, master_seed, trials, jobs)
     return make_estimate(successes, trials, z)
 
 
@@ -346,14 +340,15 @@ class ConditionalReport(Record):
         }
 
 
-def _round_event_tallies(tables: np.ndarray, tallies: dict) -> dict:
+def _round_event_tallies(tables: np.ndarray, tallies: Counter) -> Counter:
     """Add the rounds of smallest-label exploration of 0-based tables to tallies.
 
     All rows reveal one new vertex per step, so they explore in lockstep.
     Round i ends at step T_i, on an explored vertex: a success in round 1
     on a self loop, later on a vertex of an earlier round.  The next round
     starts at the smallest unexplored label.  Rounds are counted by code,
-    (i, T_{i-1}, T_i) in base n + 1 and a success bit, int64 for n < 2**20.
+    (i, T_{i-1}, T_i) in base n + 1 and a success bit, int64 for n < 2**20,
+    and added to tallies under (i, T_{i-1}, T_i, success).
     """
     rows, n = tables.shape
     base = np.arange(rows) * n
@@ -378,29 +373,17 @@ def _round_event_tallies(tables: np.ndarray, tallies: dict) -> dict:
     keys, counts = np.unique(codes, return_counts=True)
     for code, count in zip(keys.tolist(), counts.tolist()):
         rest, t = divmod(code >> 1, n + 1)
-        key = divmod(rest, n + 1) + (t,)
-        obs, succ = tallies.get(key, (0, 0))
-        tallies[key] = (obs + count, succ + (code & 1) * count)
+        key = divmod(rest, n + 1) + (t, code & 1)
+        tallies[key] = tallies.get(key, 0) + count  # get: no Counter.__missing__ call per new key
     return tallies
 
 
-def tally_round_events(
-    n: int, master_seed: int, start: int, stop: int
-) -> dict[tuple[int, int, int], tuple[int, int]]:
-    """Raw (observations, successes) tallies keyed by (i, T_{i-1}, T_i)."""
-    tallies: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for tables in _table_chunks(n, master_seed, start, stop):
-        _round_event_tallies(tables, tallies)
+def tally_round_events(n: int, master_seed: int, start: int, stop: int) -> Counter:
+    """Round counts over trials [start, stop), keyed (i, T_{i-1}, T_i, success)."""
+    tallies: Counter = Counter()
+    for streams in _stream_chunks(master_seed, start, stop, n):
+        _round_event_tallies(_bounded_draws(n, master_seed, streams, 0, n)[0], tallies)
     return tallies
-
-
-def _merge_tallies(parts) -> dict[tuple[int, int, int], tuple[int, int]]:
-    merged: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for part in parts:
-        for key, (obs, succ) in part.items():
-            o, s = merged.get(key, (0, 0))
-            merged[key] = (o + obs, s + succ)
-    return merged
 
 
 def check_round_conditionals(
@@ -421,11 +404,11 @@ def check_round_conditionals(
     flagged when its empirical frequency sits more than se_threshold
     binomial standard errors from the prediction.
     """
-    tallies = run_trials(tally_round_events, n, master_seed, trials, jobs, _merge_tallies)
+    tallies = run_trials(tally_round_events, n, master_seed, trials, jobs)
     bins = []
-    for key in sorted(tallies):
-        i, t_prev, t_cur = key
-        obs, succ = tallies[key]
+    for i, t_prev, t_cur in sorted({key[:3] for key in tallies}):
+        succ = tallies.get((i, t_prev, t_cur, 1), 0)
+        obs = tallies.get((i, t_prev, t_cur, 0), 0) + succ
         predicted = Fraction(1, t_cur) if i == 1 else Fraction(t_prev, t_cur)
         freq = succ / obs
         p = float(predicted)

@@ -203,6 +203,17 @@ COUNTS = [
     )
 ]
 
+# a run whose last stream is past 2**64 - 1 (heights reads streams 2i and 2i+1)
+# is refused before any worker starts
+STREAM_RANGE = [
+    Case(argv, code=2, stderr=f"error: stream_index must fit in 64 bits, got {last}\n", jobs=(1, 2))
+    for argv, last in (
+        (f"verify-cayley --n 5 --trials {2**64 + 1}", 2**64),
+        (f"check-conditionals --n 5 --trials {2**64 + 1}", 2**64),
+        (f"heights --n 5 --trials {2**63 + 1}", 2**64 + 1),
+    )
+]
+
 # NaN and the infinities would print as JSON's invalid NaN and Infinity
 BAD_Z = [
     Case(f"verify-cayley --n 5 --trials 10 --z={z} --json", code=2,
@@ -288,8 +299,8 @@ STRICT = [
            "invalid Prufer JSON: expected an integer, got False"),
 ]
 
-CASES = [*ENUMERATE, *CONDITIONALS, *VERIFY, *HEIGHTS, HEIGHTS_DEFAULT, *SAMPLERS, *STDIN, PIPE, *COUNTS, *BAD_Z,
-         VERSION, VERSION_CLI, UNKNOWN, EXACT, *MALFORMED, *STRICT]
+CASES = [*ENUMERATE, *CONDITIONALS, *VERIFY, *HEIGHTS, HEIGHTS_DEFAULT, *SAMPLERS, *STDIN, PIPE, *COUNTS, *STREAM_RANGE,
+         *BAD_Z, VERSION, VERSION_CLI, UNKNOWN, EXACT, *MALFORMED, *STRICT]
 
 
 def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from replay import (
-    BAD_Z, CASES, CONDITIONALS, COUNTS, ENUMERATE, EXACT, GOLDEN, HEIGHTS, MALFORMED, PIPE, SAMPLERS, STDIN, STRICT,
-    UNKNOWN, VERIFY, VERSION, VERSION_CLI, replay, run_main,
+    BAD_Z, CASES, CONDITIONALS, COUNTS, ENUMERATE, EXACT, GOLDEN, HEIGHTS, MALFORMED, PIPE, SAMPLERS, STDIN,
+    STREAM_RANGE, STRICT, UNKNOWN, VERIFY, VERSION, VERSION_CLI, fresh_python, replay, run_main,
 )
 
 from cayleykit import Mapping, PruferSequence, joyal_encode, prufer_decode
@@ -73,6 +73,26 @@ def test_invalid_counts_are_rejected_before_numpy_loads(case):
 @pytest.mark.parametrize("case", COUNTS, ids=[f"argv{i}" for i in range(len(COUNTS))])
 def test_invalid_counts_exit_2_without_traceback(case):
     replay(case)
+
+
+def _no_worker(*args):
+    raise AssertionError("a worker ran")
+
+
+@pytest.mark.parametrize("case, jobs", _runs(STREAM_RANGE, lambda case, jobs: f"{jobs}-{case.argv}"))
+def test_a_trial_count_past_the_stream_range_exits_2(monkeypatch, case, jobs):
+    # a worker that starts fails the row at once, where it would run for 2**63 trials
+    for worker in ("montecarlo.count_unique_cyclic", "montecarlo.tally_round_events", "heights.tally_law_histograms"):
+        monkeypatch.setattr(f"cayleykit.{worker}", _no_worker)
+    replay(case, jobs)
+
+
+@pytest.mark.parametrize("argv", ["enumerate --n 6", "verify-cayley --n 5 --trials 10", "sample-function --n 70000"])
+def test_a_numeric_command_without_numpy_exits_1_with_one_error_line(argv):
+    # under -S numpy cannot be imported; a stream of 70000 draws passes _PURE_DRAWS
+    proc = fresh_python("-m", "cayleykit", *argv.split(), site=False)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: this command needs numpy, which cannot be imported: No module named 'numpy'\n"
 
 
 @pytest.mark.parametrize("case", BAD_Z, ids=lambda case: case.argv.split("--z=")[1].split()[0])
@@ -444,7 +464,11 @@ def test_any_json_on_stdin_keeps_the_exit_contract(run):
     _assert_exit_contract(*run_main(*run))
 
 
-_COUNTS = {"--n": st.integers(-3, 7), "--trials": st.integers(-2, 40), "--jobs": st.sampled_from([-1, 0, 1])}
+_COUNTS = {
+    "--n": st.integers(-3, 7),
+    "--trials": st.integers(-2, 40) | st.just(2**64 + 1),  # 2**64 + 1 trials read past the last 64-bit stream
+    "--jobs": st.sampled_from([-1, 0, 1]),
+}
 _KEYS = st.sampled_from([-1, 0, 2**64 - 1, 2**64])
 _OUTPUT = st.sampled_from(["out.txt", os.path.join("missing", "out.txt")])  # under a fresh directory
 _ARGV_OPTIONS = {

@@ -253,7 +253,7 @@ def test_batched_tallies_match_per_trial_samplers(monkeypatch, n, method, seed):
     k = 5 if method == "rejection" and n > 100 else 15
     for start in (0, 1021, 2**63 - k):
         got = tally_law_histograms(n, seed, start, start + k, method)
-        assert got == _per_trial_tallies(n, seed, start, start + k, method)
+        assert got.tolist() == list(_per_trial_tallies(n, seed, start, start + k, method))
 
 
 def test_integers_calls_hand_out_one_contiguous_stream():
@@ -344,7 +344,7 @@ def test_kernels_read_lemire_rejecting_streams_exactly():
         (3816875, 3816879, "prufer"),
     ]:
         got = tally_law_histograms(n, seed, start, stop, method)
-        assert got == _per_trial_tallies(n, seed, start, stop, method)
+        assert got.tolist() == list(_per_trial_tallies(n, seed, start, stop, method))
 
 
 def test_kernels_match_the_per_stream_samplers_at_large_n():
@@ -382,6 +382,18 @@ def test_batched_rejection_tallies_keep_the_attempt_cap(monkeypatch):
     monkeypatch.setattr(heights, "ATTEMPT_CAP_FACTOR", 1)
     with pytest.raises(RuntimeError, match="30 attempts at n=30"):
         tally_law_histograms(30, SEED, 0, 50, "rejection")
+
+
+def _no_worker(*args):
+    raise AssertionError("a worker ran")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_trial_count_past_the_stream_range_fails_before_any_worker(monkeypatch, jobs):
+    # trial 2**63 would read streams 2**64 and 2**64 + 1; the last is named
+    monkeypatch.setattr(heights, "tally_law_histograms", _no_worker)
+    with pytest.raises(ValueError, match=f"^stream_index must fit in 64 bits, got {2**64 + 1}$"):
+        law_equality_report(5, 2**63 + 1, SEED, jobs=jobs)
 
 
 def test_law_equality_report_validates_n_first():

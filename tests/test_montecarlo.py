@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from cayleykit import (
 )
 from cayleykit import core, montecarlo
 from cayleykit.exploration import Closure, SmallestLabel, explore
-from cayleykit.montecarlo import count_unique_cyclic, draw_tables, tally_round_events
+from cayleykit.montecarlo import count_unique_cyclic, tally_round_events
 
 SEED = 90125
 
@@ -55,6 +56,16 @@ def test_rng_stream_exact_64_bit_keys():
             (RngStream(7, 2**64 - 1), RngStream(7, 2**64 - 2)),
         ]:
             assert sample_mapping(50, a) != sample_mapping(50, b)
+
+
+def draw_tables(n, master_seed, start, stop):
+    """0-based int64 tables of trials [start, stop), one row per trial: the
+    stream chunker and the draw layer, composed as the batched counters do."""
+    chunks = [
+        montecarlo._bounded_draws(n, master_seed, streams, 0, n)[0]
+        for streams in montecarlo._stream_chunks(master_seed, start, stop, n)
+    ]
+    return np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
 
 
 def _scalar_tables(n, seed, start, stop):
@@ -98,14 +109,15 @@ def test_draw_tables_falls_back_on_lemire_rejections():
 
 
 def test_vectorised_draws_at_large_n(monkeypatch):
-    # at n = 50000 about one row in five rejects; both the per-row
-    # generator and the vectorised draws with fallback give its bits
+    # at n = 50000 about one row in five rejects; numpy's Philox re-keyed
+    # per row and, with _VECTOR_MAX_HALVES raised to n, the vectorised
+    # Philox both give its bits
     n, start, stop = 50_000, 0, 60
     hits = _rejecting(n, SEED, start, stop)
     assert 0 < len(hits) < stop - start
     want = _scalar_tables(n, SEED, start, stop)
     assert np.array_equal(draw_tables(n, SEED, start, stop), want)
-    monkeypatch.setattr(montecarlo, "_VECTOR_MAX_N", n)
+    monkeypatch.setattr(montecarlo, "_VECTOR_MAX_HALVES", n)
     assert np.array_equal(draw_tables(n, SEED, start, stop), want)
 
 
@@ -191,42 +203,33 @@ def test_batched_counter_across_chunk_boundaries(monkeypatch):
 
 def test_tally_round_events_matches_per_trial_path():
     n, start, stop = 7, 1500, 2700
-    expected = {}
-    for i in range(start, stop):
-        trace = explore(sample_mapping(n, RngStream(SEED, i)), SmallestLabel())
-        t_prev = 0
-        for r, t_cur in zip(trace.rounds, trace.T):
-            closed = Closure.SELF_LOOP if r.index == 1 else Closure.PRIOR_ROUND
-            obs, succ = expected.get((r.index, t_prev, t_cur), (0, 0))
-            expected[(r.index, t_prev, t_cur)] = (obs + 1, succ + (r.closure is closed))
-            t_prev = t_cur
-    assert tally_round_events(n, SEED, start, stop) == expected
+    tables = [[x - 1 for x in sample_mapping(n, RngStream(SEED, i)).table] for i in range(start, stop)]
+    assert tally_round_events(n, SEED, start, stop) == _explore_tallies(tables)
 
 
 def _explore_tallies(tables):
-    """Round-event tallies of 0-based tables, one scalar explore per table."""
-    tallies = {}
+    """Round counts of 0-based tables keyed (i, T_{i-1}, T_i, success), one scalar explore per table."""
+    tallies = Counter()
     for row in np.asarray(tables).tolist():
         trace = explore(Mapping(len(row), tuple(x + 1 for x in row)), SmallestLabel())
         t_prev = 0
         for r, t_cur in zip(trace.rounds, trace.T):
             closed = Closure.SELF_LOOP if r.index == 1 else Closure.PRIOR_ROUND
-            obs, succ = tallies.get((r.index, t_prev, t_cur), (0, 0))
-            tallies[(r.index, t_prev, t_cur)] = (obs + 1, succ + (r.closure is closed))
+            tallies[r.index, t_prev, t_cur, int(r.closure is closed)] += 1
             t_prev = t_cur
     return tallies
 
 
 def _kernel_tallies(tables):
-    return montecarlo._round_event_tallies(np.asarray(tables, dtype=np.int64), {})
+    return montecarlo._round_event_tallies(np.asarray(tables, dtype=np.int64), Counter())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_round_event_kernel_matches_explore_on_every_table(n):
     tables = np.array(list(itertools.product(range(n), repeat=n)))
     assert _kernel_tallies(tables) == _explore_tallies(tables)
-    # batches of uneven sizes fold into one dict
-    tallies = {}
+    # batches of uneven sizes fold into one Counter
+    tallies = Counter()
     for lo in range(0, len(tables), 7):
         montecarlo._round_event_tallies(tables[lo : lo + 7], tallies)
     assert tallies == _explore_tallies(tables)
@@ -244,10 +247,10 @@ def test_round_event_kernel_on_planted_tables(n):
         assert _kernel_tallies([row]) == _explore_tallies([row])
     assert _kernel_tallies(planted) == _explore_tallies(planted)
     # identity: n rounds of one vertex each, round 1 a success, later ones not
-    expected = {(i, i - 1, i): (1, int(i == 1)) for i in range(1, n + 1)}
+    expected = Counter({(i, i - 1, i, int(i == 1)): 1 for i in range(1, n + 1)})
     assert _kernel_tallies([identity]) == expected
     # an n-cycle is one round that closes on its start
-    assert _kernel_tallies([cycle]) == {(1, 0, n): (1, int(n == 1))}
+    assert _kernel_tallies([cycle]) == Counter({(1, 0, n, int(n == 1)): 1})
 
 
 @pytest.mark.parametrize(
@@ -409,6 +412,22 @@ def test_estimate_unique_cyclic_rejects_a_bad_z_before_any_trial(z, monkeypatch)
     monkeypatch.setattr(montecarlo, "run_trials", no_trials)
     with pytest.raises(ValueError, match=f"^z must be finite and > 0, got {z}$"):
         estimate_unique_cyclic(100, 200_000, 1, z=z)
+
+
+def _no_worker(*args):
+    raise AssertionError("a worker ran")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "run, worker",
+    [(estimate_unique_cyclic, "count_unique_cyclic"), (check_round_conditionals, "tally_round_events")],
+)
+def test_a_trial_count_past_the_stream_range_fails_before_any_worker(monkeypatch, run, worker, jobs):
+    # trial 2**64 would read stream 2**64, one past the last 64-bit index
+    monkeypatch.setattr(montecarlo, worker, _no_worker)
+    with pytest.raises(ValueError, match=f"^stream_index must fit in 64 bits, got {2**64}$"):
+        run(5, 2**64 + 1, SEED, jobs=jobs)
 
 
 def test_make_estimate_fields():
