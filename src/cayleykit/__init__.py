@@ -9,7 +9,7 @@ pays for numpy.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 _HOMES = {
     "core": (
@@ -27,13 +27,10 @@ _HOMES = {
     "exploration": (
         "Closure",
         "ExplorationTrace",
-        "FixedOrder",
         "RoundRecord",
         "SeededRandomOrder",
-        "SelectionStrategy",
         "SmallestLabel",
         "conditional_event_probabilities",
-        "cycle_count_from_trace",
         "explore",
         "has_unique_cyclic_from_trace",
         "reconstruct_mapping",

@@ -80,8 +80,14 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def to_json_dict(self) -> dict:
-        """The fields by name, tuples as lists."""
-        return {f: list(v) if isinstance(v, tuple) else v for f, v in zip(self._fields, self._values())}
+        """The fields by name: tuples as lists, and records, in a tuple too, as their own dicts."""
+        doc = {}
+        for f, v in zip(self._fields, self._values()):
+            if isinstance(v, tuple):  # a field's tuple holds one type
+                doc[f] = [x.to_json_dict() for x in v] if v and isinstance(v[0], Record) else list(v)
+            else:
+                doc[f] = v.to_json_dict() if isinstance(v, Record) else v
+        return doc
 
 
 def _json_int(value) -> int:
@@ -312,6 +318,22 @@ def _pointer_doubling(tables: np.ndarray, fold=None, values=None, buffers=None):
             fold(values, gathered, out=values)
         g, spare = np.take(g, g, out=spare, mode="wrap"), g
     return g, values
+
+
+def _root_depths(tables: np.ndarray, values=None, buffers=None) -> np.ndarray:
+    """Each vertex's f-steps to the root, on flat indices, for 0-based rooted tables.
+
+    The root is a rooted table's only fixed point, so _pointer_doubling's
+    np.add fold of f(v) != v gives #{k < 2^t : f^k(v) != root}, the depth
+    as 2^t >= n.  values (at least m * n intp entries) and buffers, if
+    given, are reused as working arrays, and the result is then a view.
+    """
+    import numpy as np
+
+    m, n = tables.shape
+    values = np.empty(m * n, np.intp) if values is None else values[: m * n]
+    np.not_equal(tables, np.arange(n), out=values.reshape(m, n))
+    return _pointer_doubling(tables, np.add, values, buffers)[1]
 
 
 def mapping_to_dot(m: Mapping, *, name: str = "mapping", labels: dict | None = None) -> str:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .bijection import PruferSequence, mapping_to_rooted_tree, prufer_parent_rows, prufer_parents
-from .core import Mapping, Record, _pointer_doubling, cycle_structure
+from .core import Mapping, Record, _pointer_doubling, _root_depths, cycle_structure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,8 +89,7 @@ def _table_stats(tables: np.ndarray, depths: bool = True, work: list | None = No
     cyclic vertex is its cycle's minimum, so each cycle is counted once,
     at that minimum.  root is a row's unique cyclic vertex, or -1 when
     it has several.  With depths, depth holds one row per table with a
-    root, in order: the second pass folds np.add over the tables with a
-    root, so depth(v) = #{k < 2^t : f^k(v) != root}.
+    root, in order: the second pass is core._root_depths of those tables.
     work, from _working_arrays, lets a caller reuse the arrays across
     batches; depth is then a view of it, valid until its next use.
     """
@@ -110,11 +109,7 @@ def _table_stats(tables: np.ndarray, depths: bool = True, work: list | None = No
     root = np.where(has_root, g[::n] - flat[::n], -1)
     depth = None
     if depths:
-        rooted = np.compress(has_root, tables, axis=0)
-        # the root is the only fixed point of a rooted table
-        counted = values[: rooted.size]
-        np.not_equal(rooted, np.arange(n), out=counted.reshape(rooted.shape))
-        depth = _pointer_doubling(rooted, np.add, counted, doubling)[1].reshape(-1, n)
+        depth = _root_depths(np.compress(has_root, tables, axis=0), values, doubling).reshape(-1, n)
     return num_cycles, num_cyclic, root, depth
 
 

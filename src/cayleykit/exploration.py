@@ -36,18 +36,7 @@ class Closure(str, Enum):
     PRIOR_ROUND = "PriorRound"
 
 
-class SelectionStrategy:
-    """Deterministic rule for choosing each round's start vertex.
-
-    A strategy produces a preference order over [1..n]; each round
-    starts at the first not-yet-explored vertex in that order.
-    """
-
-    def start_order(self, n: int) -> Sequence[int]:
-        raise NotImplementedError
-
-
-class SmallestLabel(SelectionStrategy):
+class SmallestLabel:
     """Always start the next round at the smallest unexplored label."""
 
     def start_order(self, n: int) -> Sequence[int]:
@@ -57,18 +46,7 @@ class SmallestLabel(SelectionStrategy):
         return "SmallestLabel()"
 
 
-class FixedOrder(SelectionStrategy, Record):
-    """Start rounds following a caller-supplied permutation of [1..n]."""
-
-    order: tuple[int, ...]
-
-    def start_order(self, n: int) -> Sequence[int]:
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"order is not a permutation of [1..{n}]")
-        return self.order
-
-
-class SeededRandomOrder(SelectionStrategy, Record):
+class SeededRandomOrder(Record):
     """Start rounds in a pseudorandom order determined by a seed."""
 
     seed: int
@@ -137,20 +115,20 @@ class ExplorationTrace(Record):
         }
 
 
-def explore(m: Mapping, strategy: SelectionStrategy | None = None) -> ExplorationTrace:
+def explore(m: Mapping, strategy: SmallestLabel | SeededRandomOrder | None = None) -> ExplorationTrace:
     """Run the reveal procedure on m and record the full trace.
 
     The rounds are those of core._rounds, the one scalar cycle walk, in
-    the strategy's start order.  Deterministic given (m, strategy); every
-    vertex lands in exactly one round's path, so the trace reconstructs
-    the mapping edge for edge.
+    the strategy's start_order(n), a permutation of [1..n] (smallest label
+    first by default).  Deterministic given (m, strategy); every vertex
+    lands in exactly one round's path, so the trace reconstructs the
+    mapping edge for edge.
     """
-    if strategy is None:
-        strategy = SmallestLabel()
+    order = None if strategy is None else strategy.start_order(m.n)
     rounds: list[RoundRecord] = []
     T: list[int] = []
     total = 0
-    for i, (path, w, own) in enumerate(_rounds(m.table, strategy.start_order(m.n)), start=1):
+    for i, (path, w, own) in enumerate(_rounds(m.table, order), start=1):
         v = path[-1]
         if w == v:
             closure = Closure.SELF_LOOP
@@ -182,13 +160,6 @@ def has_unique_cyclic_from_trace(t: ExplorationTrace) -> bool:
     if t.rounds[0].closure is not Closure.SELF_LOOP:
         return False
     return all(r.closure is Closure.PRIOR_ROUND for r in t.rounds[1:])
-
-
-def cycle_count_from_trace(t: ExplorationTrace) -> int:
-    """Number of cycles seen by the trace: one per cycle-creating closure."""
-    return sum(
-        1 for r in t.rounds if r.closure in (Closure.SELF_LOOP, Closure.IN_ROUND)
-    )
 
 
 def telescoping_probability(T: Sequence[int]) -> Fraction:

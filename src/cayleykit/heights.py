@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .bijection import PruferSequence, mapping_to_rooted_tree, prufer_parent_rows, prufer_parents
-from .core import Mapping, Record, RngStream, RootedTree, _pointer_doubling, unique_cyclic_vertex
+from .core import Mapping, Record, RngStream, RootedTree, _root_depths, unique_cyclic_vertex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,26 +122,13 @@ class LawEqualityReport(Record):
 
     n: int
     trials: int
-    master_seed: int
+    seed: int
     height_method: str
     height_plus_one: Histogram
     collision: Histogram
     checks: tuple[ChiSquareCheck, ...]
     exact_law_equal: bool | None
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.master_seed,
-            "height_method": self.height_method,
-            "height_plus_one": self.height_plus_one.to_json_dict(),
-            "collision": self.collision.to_json_dict(),
-            "checks": [c.to_json_dict() for c in self.checks],
-            "exact_law_equal": self.exact_law_equal,
-            "passed": self.passed,
-        }
 
 
 def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
@@ -186,9 +173,8 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
     chunk in all and at most _CHUNK_DRAWS // n per stream, and one draw
     ahead.  A pending stream's next segment starts one half back, on the
     half of that draw: the halves between it and the last attempt's were
-    rejected.  The height, the number of f-steps from the vertex to the
-    fixed point, is summed by core._pointer_doubling over all accepted
-    tables at once.
+    rejected.  The height is the vertex's core._root_depths, taken over
+    all accepted tables at once.
     """
     import numpy as np
     from . import montecarlo
@@ -210,9 +196,7 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
         done = np.flatnonzero(found)
         k = accepted[done].argmax(axis=1)
         f, v = tables[done, k], rows[done, (k + 1) * n] + n * np.arange(len(done))
-        # height(v) = #{s < 2^t : f^s(v) != root}; the root is f's only fixed point
-        depth = _pointer_doubling(f, np.add, (f != np.arange(n)).ravel().astype(np.int64))[1]
-        heights[pending[done]] = depth[v]
+        heights[pending[done]] = _root_depths(f)[v]
         pending, cursors = pending[~found], cursors[~found] - 1
         attempt += count
     return heights
@@ -395,7 +379,7 @@ def law_equality_report(
     return LawEqualityReport(
         n=n,
         trials=trials,
-        master_seed=master_seed,
+        seed=master_seed,
         height_method=method,
         height_plus_one=hist_h,
         collision=hist_c,

@@ -321,23 +321,14 @@ class ConditionalReport(Record):
 
     n: int
     trials: int
-    master_seed: int
-    bins: tuple[ConditionalBin, ...]
+    seed: int
     se_threshold: float
+    bins: tuple[ConditionalBin, ...]
 
     def flagged_bins(self, min_observations: int = 100) -> list[ConditionalBin]:
         return [
             b for b in self.bins if b.flagged and b.observations >= min_observations
         ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.master_seed,
-            "se_threshold": self.se_threshold,
-            "bins": [b.to_json_dict() for b in self.bins],
-        }
 
 
 def _round_event_tallies(tables: np.ndarray, tallies: Counter) -> Counter:
@@ -430,7 +421,7 @@ def check_round_conditionals(
                 flagged=deviation > se_threshold,
             )
         )
-    return ConditionalReport(n, trials, master_seed, tuple(bins), se_threshold)
+    return ConditionalReport(n, trials, master_seed, se_threshold, tuple(bins))
 
 
 def _pool_tail(bins: Iterable[tuple], size) -> tuple[list[tuple], int]:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cayleykit import Mapping
+from cayleykit import Closure, Mapping
 from cayleykit.enumeration import MAX_COUNT_N
 
 pytest.register_assert_rewrite("replay")  # before a test module imports the replay table
@@ -22,3 +22,18 @@ def all_tables(n):
 def all_mappings(n):
     for table in all_tables(n):
         yield Mapping(n, table)
+
+
+class FixedOrder:
+    """A start order for explore: rounds start in the given order of [1..n]."""
+
+    def __init__(self, order):
+        self.order = tuple(order)
+
+    def start_order(self, n):
+        return self.order
+
+
+def cycle_count(trace):
+    """The cycles a trace sees: its rounds that close on a self loop or on their own path."""
+    return sum(r.closure is not Closure.PRIOR_ROUND for r in trace.rounds)

@@ -14,11 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from cayleykit import (
-    FixedOrder,
     Mapping,
     SeededRandomOrder,
     SmallestLabel,
-    cycle_count_from_trace,
     cycle_structure,
     exact_collision_pmf,
     exact_counts,
@@ -42,7 +40,7 @@ from cayleykit import (
 )
 from cayleykit.cli import RELEASE_SEED, main
 
-from conftest import all_mappings
+from conftest import FixedOrder, all_mappings, cycle_count
 
 
 def _report(num, text):
@@ -119,7 +117,7 @@ def test_criterion_04_trace_criterion_equivalence():
             for s in strategies:
                 t = explore(m, s)
                 assert has_unique_cyclic_from_trace(t) == direct_unique
-                assert cycle_count_from_trace(t) == direct_cycles
+                assert cycle_count(t) == direct_cycles
                 cases += 1
     assert cases >= 3 * 3125
     _report(4, f"trace verdicts match direct analysis in all {cases} cases")

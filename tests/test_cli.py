@@ -486,14 +486,30 @@ _ARGV_OPTIONS = {
 }
 
 
+#: Valid values of the options that a run checks before its stream range.
+_VALID = {
+    "--n": st.integers(1, 7), "--jobs": st.just(1), "--seed": st.sampled_from([0, 2**64 - 1]),
+    "--min-obs": st.integers(0, 5), "--output": st.just("out.txt"),
+}
+
+
 @st.composite
 def _argvs(draw):
     """A subcommand with a random subset of its own options; --n is always
-    there, since leaving out a required option only reaches argparse."""
+    there, since leaving out a required option only reaches argparse.  A
+    batched command's --trials is drawn first: with 2**64 + 1 trials its
+    other options take valid values, so that the run reaches its
+    stream-range check."""
     command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    options = _ARGV_OPTIONS[command]
+    trials = draw(options["--trials"]) if "--trials" in options and draw(st.booleans()) else None
+    if trials == 2**64 + 1:
+        options = {option: _VALID.get(option, values) for option, values in options.items()}
     argv = [command]
-    for option, values in _ARGV_OPTIONS[command].items():
-        if option == "--n" or draw(st.booleans()):
+    for option, values in options.items():
+        if option == "--trials":
+            argv += [] if trials is None else [option, str(trials)]
+        elif option == "--n" or draw(st.booleans()):
             argv += [option] if values is None else [option, str(draw(values))]
     return argv
 

@@ -293,12 +293,32 @@ def test_spans_above_2_32_go_to_numpy(before):
     assert np.array_equal(draws.integers(0, 7, size=5), gen.integers(0, 7, size=5))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def _random_rooted_tables(rng, m, n):
+    """m 0-based rooted tables: vertex i of a shuffled order points at one of
+    the k before it (k random per table, 1 gives a path), vertex 0 at itself."""
+    tables = np.empty((m, n), np.intp)
+    for row, k in zip(tables, rng.integers(1, n + 1, size=m)):
+        order, i = rng.permutation(n), np.arange(1, n)
+        lo = np.maximum(0, i - k)
+        row[order] = order[np.concatenate(([0], lo + (rng.random(n - 1) * (i - lo)).astype(np.intp)))]
+    return tables
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 100])
 def test_pointer_doubling_into_caller_buffers_equals_the_allocating_call(n):
     rng = np.random.default_rng(n)
     # buffers longer than one call needs, reused by every call below
     buffers = [np.full(400 * n, -7, np.intp) for _ in range(3)]
+    depth_values = np.full(400 * n, -7, np.intp)
     for m in (1, 300, 40):
+        rooted = _random_rooted_tables(rng, m, n)
+        depths = []
+        for row in rooted:
+            root = int(np.flatnonzero(row == np.arange(n))[0])
+            tree = RootedTree(n, root + 1, [0 if v == root else int(p) + 1 for v, p in enumerate(row)])
+            depths += [tree.depth(v) for v in range(1, n + 1)]
+        assert core._root_depths(rooted).tolist() == depths
+        assert core._root_depths(rooted, depth_values, buffers).tolist() == depths
         tables = rng.integers(0, n, size=(m, n))
         values = rng.integers(0, 1000, size=m * n)
         g, no_values = core._pointer_doubling(tables)

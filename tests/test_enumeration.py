@@ -9,7 +9,6 @@ import pytest
 from cayleykit import (
     Mapping,
     SmallestLabel,
-    cycle_count_from_trace,
     cycle_structure,
     exact_collision_pmf,
     exact_counts,
@@ -20,7 +19,7 @@ from cayleykit import (
 )
 from cayleykit.enumeration import _array_counts, _scalar_counts, _table_stats
 
-from conftest import all_mappings, all_tables
+from conftest import all_mappings, all_tables, cycle_count
 
 
 def test_enumerate_mappings_visit_counts():
@@ -179,7 +178,7 @@ def test_by_cycle_count_matches_trace_tallies():
     for n in range(1, 8):
         tally = {}
         for m in all_mappings(n):
-            k = cycle_count_from_trace(explore(m, SmallestLabel()))
+            k = cycle_count(explore(m, SmallestLabel()))
             tally[k] = tally.get(k, 0) + 1
         assert tally == exact_counts(n).by_cycle_count
 

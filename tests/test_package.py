@@ -1,5 +1,6 @@
 """The package's lazy import surface: names resolve on first access."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -9,18 +10,20 @@ from replay import CASES, LAYERS, SAMPLERS, fresh_python, replay
 
 import cayleykit
 
-DEMOS = pathlib.Path(__file__).parents[1] / "demos"
+ROOT = pathlib.Path(__file__).parents[1]
+DEMOS = ROOT / "demos"
 
 # the public names of 0.3.0, when the package imported every module eagerly,
 # less the four that 0.4.0 removed (HeightSample, iterate,
-# sample_height_plus_one, tree_edges)
+# sample_height_plus_one, tree_edges) and the three that 0.7.0 removed
+# (FixedOrder, SelectionStrategy, cycle_count_from_trace)
 PUBLIC_NAMES = [
     "Closure", "CycleStructure", "DoublyRootedTree", "Estimate", "ExactCounts",
-    "ExplorationTrace", "FixedOrder", "Histogram", "LawEqualityReport",
+    "ExplorationTrace", "Histogram", "LawEqualityReport",
     "Mapping", "NO_PARENT", "PruferSequence", "RngStream", "RootedTree", "RoundRecord",
-    "SeededRandomOrder", "SelectionStrategy", "SmallestLabel", "__version__",
+    "SeededRandomOrder", "SmallestLabel", "__version__",
     "check_round_conditionals", "chi_square_statistic", "conditional_event_probabilities",
-    "cycle_count_from_trace", "cycle_structure", "estimate_unique_cyclic",
+    "cycle_structure", "estimate_unique_cyclic",
     "exact_collision_pmf", "exact_counts", "exact_height_pmf", "explore",
     "has_unique_cyclic_from_trace", "joyal_decode", "joyal_encode",
     "law_equality_report", "make_estimate", "mapping_to_dot", "mapping_to_rooted_tree",
@@ -103,9 +106,30 @@ def test_star_import_binds_the_home_modules_objects():
     homes = [importlib.import_module(f"cayleykit.{layer}") for layer in LAYERS]
     for name in PUBLIC_NAMES:
         if name == "__version__":
-            assert namespace[name] == "0.6.0"
+            assert namespace[name] == "0.7.0"
             continue
         assert any(vars(home).get(name) is namespace[name] for home in homes), name
+
+
+def test_pyproject_and_the_package_give_one_version():
+    # a regex, not tomllib: Python 3.10 has no tomllib
+    version = re.search(r'^version = "([^"]*)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert version and version.group(1) == cayleykit.__version__
+
+
+def test_every_name_perfbench_imports_resolves():
+    # perfbench/ runs the library from outside the tests; a name it imports must not vanish unseen
+    imports = [
+        node for path in sorted((ROOT / "perfbench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cayleykit.")
+    ]
+    assert imports
+    missing = [
+        f"{node.module}.{alias.name}" for node in imports for alias in node.names
+        if not hasattr(importlib.import_module(node.module), alias.name)
+    ]
+    assert missing == []
 
 
 def test_unknown_attribute_raises_attribute_error():

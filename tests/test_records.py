@@ -16,7 +16,6 @@ from cayleykit.enumeration import ExactCounts
 from cayleykit.exploration import (
     Closure,
     ExplorationTrace,
-    FixedOrder,
     RoundRecord,
     SeededRandomOrder,
 )
@@ -55,7 +54,6 @@ CASES = [
         "DoublyRootedTree(tree=RootedTree(n=3, root=3, parent=(3, 3, 0)), head=1)",
     ),
     (PruferSequence, dict(n=4, seq=(4, 4)), "PruferSequence(n=4, seq=(4, 4))"),
-    (FixedOrder, dict(order=(2, 1, 3)), "FixedOrder(order=(2, 1, 3))"),
     (SeededRandomOrder, dict(seed=5), "SeededRandomOrder(seed=5)"),
     (RoundRecord, dict(index=1, start=1, path=(1, 2, 3), closing_edge=(3, 3), closure=Closure.SELF_LOOP), ROUND_REPR),
     (
@@ -66,9 +64,9 @@ CASES = [
     (ChiSquareCheck, dict(label="height", statistic=1.5, df=2, critical=5.991464547107979, passed=True), CHECK_REPR),
     (
         LawEqualityReport,
-        dict(n=3, trials=5, master_seed=9, height_method="prufer", height_plus_one=HIST,
+        dict(n=3, trials=5, seed=9, height_method="prufer", height_plus_one=HIST,
              collision=HIST, checks=(CHECK,), exact_law_equal=True, passed=True),
-        "LawEqualityReport(n=3, trials=5, master_seed=9, height_method='prufer', "
+        "LawEqualityReport(n=3, trials=5, seed=9, height_method='prufer', "
         f"height_plus_one={HIST_REPR}, collision={HIST_REPR}, checks=({CHECK_REPR},), "
         "exact_law_equal=True, passed=True)",
     ),
@@ -93,8 +91,8 @@ CASES = [
     ),
     (
         ConditionalReport,
-        dict(n=7, trials=100, master_seed=3, bins=(BIN,), se_threshold=3.0),
-        f"ConditionalReport(n=7, trials=100, master_seed=3, bins=({BIN_REPR},), se_threshold=3.0)",
+        dict(n=7, trials=100, seed=3, se_threshold=3.0, bins=(BIN,)),
+        f"ConditionalReport(n=7, trials=100, seed=3, se_threshold=3.0, bins=({BIN_REPR},))",
     ),
 ]
 
@@ -109,7 +107,7 @@ def test_every_record_class_has_a_case():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert records == {cls for cls, _, _ in CASES}
-    assert len(CASES) == 17
+    assert len(CASES) == 16
 
 
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=case_ids)
