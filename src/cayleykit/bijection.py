@@ -18,7 +18,7 @@ import heapq
 from typing import TYPE_CHECKING
 
 from .core import (
-    NO_PARENT, Mapping, Record, RootedTree, _json_field, _json_int, _json_ints, cycle_structure, unique_cyclic_vertex,
+    NO_PARENT, Mapping, Record, RootedTree, _json_fields, _json_int, _json_ints, cycle_structure, unique_cyclic_vertex,
 )
 
 if TYPE_CHECKING:
@@ -64,13 +64,8 @@ class DoublyRootedTree(Record):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DoublyRootedTree":
-        try:
-            n = _json_int(_json_field(d, "n"))
-            head = _json_int(_json_field(d, "head"))
-            tail = _json_int(_json_field(d, "tail"))
-            parent = _json_ints(d, "parent")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"invalid doubly-rooted tree JSON: {exc}") from exc
+        fields = _json_fields(d, "doubly-rooted tree", n=_json_int, head=_json_int, tail=_json_int, parent=_json_ints)
+        n, head, tail, parent = fields
         return cls(RootedTree(n, tail, parent), head)
 
 
@@ -96,10 +91,7 @@ class PruferSequence(Record):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PruferSequence":
-        try:
-            return cls(_json_int(_json_field(d, "n")), _json_ints(d, "seq"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"invalid Prufer JSON: {exc}") from exc
+        return _json_fields(d, "Prufer", cls, n=_json_int, seq=_json_ints)  # the word's own checks named so too
 
 
 def mapping_to_rooted_tree(m: Mapping) -> RootedTree:

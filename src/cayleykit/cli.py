@@ -2,7 +2,8 @@
 
 Every randomized subcommand takes an explicit seed (or the pinned
 default) and echoes it in its JSON output, so any run can be replayed
-byte for byte.  Exit status: 0 on success, 2 on input errors, and 1 in
+byte for byte.  Exit status: 0 on success, 2 on input errors (a JSON
+document nested past the recursion limit among them), and 1 in
 three cases: a statistical verification failed (its report is on stdout),
 the rejection sampler hit its attempt cap (a broken random source), or
 numpy cannot be imported (each an ``error:`` line, nothing on stdout).
@@ -26,6 +27,19 @@ from . import __version__
 RELEASE_SEED = 20250801
 
 
+#: argparse keywords of the options that several subcommands take.
+_OPTIONS = {
+    "--n": {"type": int, "required": True},
+    "--trials": {"type": int, "required": True},
+    "--seed": {"type": int, "default": RELEASE_SEED},
+    "--stream": {"type": int, "default": 0},
+    "--jobs": {"type": int, "default": 1},
+    "--json": {"action": "store_true"},
+    "--input": {"help": "JSON path (default: stdin)"},
+    "--output": {"help": "output path (default: stdout)"},
+}
+
+
 def _read_json(path: str | None) -> dict:
     try:
         if path is None or path == "-":
@@ -33,8 +47,8 @@ def _read_json(path: str | None) -> dict:
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(text)  # RecursionError: nested past the recursion limit
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"cannot read JSON input: {exc}") from exc
 
 
@@ -63,17 +77,19 @@ def _require_counts(args, *names: str) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _emit_dot_or_json(args, value, to_dot, **fields) -> int:
+    """value as DOT under --dot, else as its JSON document followed by fields."""
+    if args.dot:
+        _emit(args, to_dot(value))
+    else:
+        _emit_json(args, {**value.to_json_dict(), **fields})
+    return 0
+
+
 def cmd_sample_function(args) -> int:
     from .core import RngStream, mapping_to_dot, sample_mapping
     m = sample_mapping(args.n, RngStream(args.seed, args.stream))
-    if args.dot:
-        _emit(args, mapping_to_dot(m))
-        return 0
-    doc = m.to_json_dict()
-    doc["seed"] = args.seed
-    doc["stream"] = args.stream
-    _emit_json(args, doc)
-    return 0
+    return _emit_dot_or_json(args, m, mapping_to_dot, seed=args.seed, stream=args.stream)
 
 
 def cmd_trace(args) -> int:
@@ -81,12 +97,7 @@ def cmd_trace(args) -> int:
     from .exploration import SeededRandomOrder, SmallestLabel, explore, trace_to_dot
     m = Mapping.from_json_dict(_read_json(args.input))
     strategy = SmallestLabel() if args.order_seed is None else SeededRandomOrder(args.order_seed)
-    t = explore(m, strategy)
-    if args.dot:
-        _emit(args, trace_to_dot(t))
-    else:
-        _emit_json(args, t.to_json_dict())
-    return 0
+    return _emit_dot_or_json(args, explore(m, strategy), trace_to_dot)
 
 
 def cmd_verify_cayley(args) -> int:
@@ -187,22 +198,12 @@ def cmd_sample_tree(args) -> int:
     from .core import RngStream, tree_to_dot
     from .heights import sample_rooted_tree_prufer, sample_rooted_tree_rejection
     stream = RngStream(args.seed, args.stream)
-    attempts = None
+    fields = {"seed": args.seed, "stream": args.stream, "method": args.method}
     if args.method == "rejection":
-        tree, attempts = sample_rooted_tree_rejection(args.n, stream)
+        tree, fields["attempts"] = sample_rooted_tree_rejection(args.n, stream)
     else:
         tree = sample_rooted_tree_prufer(args.n, stream)
-    if args.dot:
-        _emit(args, tree_to_dot(tree))
-        return 0
-    doc = tree.to_json_dict()
-    doc["seed"] = args.seed
-    doc["stream"] = args.stream
-    doc["method"] = args.method
-    if attempts is not None:
-        doc["attempts"] = attempts
-    _emit_json(args, doc)
-    return 0
+    return _emit_dot_or_json(args, tree, tree_to_dot, **fields)
 
 
 def cmd_heights(args) -> int:
@@ -220,16 +221,11 @@ def cmd_heights(args) -> int:
 
 def cmd_prufer(args) -> int:
     from .bijection import PruferSequence, prufer_decode, prufer_encode
-    from .core import _json_field, _json_int
+    from .core import _json_fields, _json_int
     doc = _read_json(args.input)
-    if args.direction == "encode":
-        try:
-            n = _json_int(_json_field(doc, "n"))
-            edges = _json_field(doc, "edges")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"invalid edge-list JSON: {exc}") from exc
-        seq = prufer_encode(n, edges)
-        _emit_json(args, seq.to_json_dict())
+    if args.direction == "encode":  # prufer_encode checks the edges
+        n, edges = _json_fields(doc, "edge-list", n=_json_int, edges=lambda edges: edges)
+        _emit_json(args, prufer_encode(n, edges).to_json_dict())
     else:
         seq = PruferSequence.from_json_dict(doc)
         edges = prufer_decode(seq)
@@ -260,90 +256,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--output", help="output path (default: stdout)")
-
-    p = sub.add_parser("sample-function", help="sample a uniform random mapping")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=RELEASE_SEED)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    add_output(p)
-    p.set_defaults(func=cmd_sample_function)
-
-    p = sub.add_parser("trace", help="explore a mapping and print the trace")
-    p.add_argument("--input", help="mapping JSON path (default: stdin)")
-    p.add_argument(
-        "--order-seed",
-        type=int,
-        default=None,
-        help="seeded random start order (default: smallest label)",
-    )
-    p.add_argument("--dot", action="store_true", help="emit DOT with reveal labels")
-    add_output(p)
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("verify-cayley", help="Monte Carlo check that P(unique cyclic)=1/n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=RELEASE_SEED)
-    p.add_argument("--z", type=float, default=1.96, help="Wilson interval z")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    add_output(p)
-    p.set_defaults(func=cmd_verify_cayley)
-
-    p = sub.add_parser(
-        "check-conditionals", help="compare per-round closure rates with predictions"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=RELEASE_SEED)
-    p.add_argument("--min-obs", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--json", action="store_true")
-    add_output(p)
-    p.set_defaults(func=cmd_check_conditionals)
-
-    p = sub.add_parser("enumerate", help="exact exhaustive counts over all mappings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    add_output(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("sample-tree", help="sample a uniform rooted tree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=RELEASE_SEED)
-    p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--method", choices=["rejection", "prufer"], default="rejection")
-    p.add_argument("--dot", action="store_true")
-    add_output(p)
-    p.set_defaults(func=cmd_sample_tree)
-
-    p = sub.add_parser(
-        "heights", help="verify the height / first-collision law identity"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=RELEASE_SEED)
-    p.add_argument("--method", choices=["rejection", "prufer"], default="prufer")
-    p.add_argument("--jobs", type=int, default=1)
-    add_output(p)
-    p.set_defaults(func=cmd_heights)
-
-    p = sub.add_parser("prufer", help="encode/decode labelled trees as sequences")
-    p.add_argument("direction", choices=["encode", "decode"])
-    p.add_argument("--input", help="JSON path (default: stdin)")
-    add_output(p)
-    p.set_defaults(func=cmd_prufer)
-
-    p = sub.add_parser("joyal", help="rewire mappings to doubly-rooted trees and back")
-    p.add_argument("direction", choices=["encode", "decode"])
-    p.add_argument("--input", help="JSON path (default: stdin)")
-    add_output(p)
-    p.set_defaults(func=cmd_joyal)
-
+    method = {"choices": ["rejection", "prufer"]}
+    direction = ("direction", {"choices": ["encode", "decode"]})
+    for command, summary, func, *options in (
+        ("sample-function", "sample a uniform random mapping", cmd_sample_function,
+         "--n", "--seed", "--stream", ("--dot", {"action": "store_true", "help": "emit DOT instead of JSON"})),
+        ("trace", "explore a mapping and print the trace", cmd_trace,
+         ("--input", {"help": "mapping JSON path (default: stdin)"}),
+         ("--order-seed", {"type": int, "help": "seeded random start order (default: smallest label)"}),
+         ("--dot", {"action": "store_true", "help": "emit DOT with reveal labels"})),
+        ("verify-cayley", "Monte Carlo check that P(unique cyclic)=1/n", cmd_verify_cayley,
+         "--n", "--trials", "--seed", ("--z", {"type": float, "default": 1.96, "help": "Wilson interval z"}),
+         "--jobs", "--json"),
+        ("check-conditionals", "compare per-round closure rates with predictions", cmd_check_conditionals,
+         "--n", "--trials", "--seed", ("--min-obs", {"type": int, "default": 100}), "--jobs", "--json"),
+        ("enumerate", "exact exhaustive counts over all mappings", cmd_enumerate, "--n", "--json"),
+        ("sample-tree", "sample a uniform rooted tree", cmd_sample_tree,
+         "--n", "--seed", "--stream", ("--method", {**method, "default": "rejection"}),
+         ("--dot", {"action": "store_true"})),
+        ("heights", "verify the height / first-collision law identity", cmd_heights,
+         "--n", "--trials", "--seed", ("--method", {**method, "default": "prufer"}), "--jobs"),
+        ("prufer", "encode/decode labelled trees as sequences", cmd_prufer, direction, "--input"),
+        ("joyal", "rewire mappings to doubly-rooted trees and back", cmd_joyal, direction, "--input"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        for option in (*options, "--output"):  # a shared option by name, or (name, its own keywords)
+            name, own = (option, {}) if isinstance(option, str) else option
+            p.add_argument(name, **{**_OPTIONS.get(name, {}), **own})
+        p.set_defaults(func=func)
     return parser
 
 

@@ -104,21 +104,34 @@ def _json_int(value) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
-def _json_field(doc, key: str):
-    """doc[key]; a doc that is not a JSON object, or lacks the key, raises naming which."""
-    if type(doc) is not dict:
-        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        raise ValueError(f"missing key {key!r}")
-    return doc[key]
-
-
-def _json_ints(doc, key: str) -> tuple[int, ...]:
-    """doc[key] as a tuple of ints; a value that is not a JSON array raises naming its type."""
-    value = _json_field(doc, key)
+def _json_ints(value) -> tuple[int, ...]:
+    """value, a JSON array of integers, as a tuple of _json_int's ints."""
     if type(value) is not list:
-        raise TypeError(f"expected a JSON array, got {type(value).__name__}")
+        raise TypeError(f"expected a JSON array, got {_json_type(value)}")
     return tuple(_json_int(x) for x in value)
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _json_fields(doc, what: str, build=None, /, **readers):
+    """[read(doc[key]) for each key=read], a JSON object's fields read in order, or build(*them).
+
+    A doc that is not a JSON object, a missing key, a value its reader
+    refuses or a fault of build raises ValueError("invalid <what> JSON: ...").
+    """
+    try:
+        if type(doc) is not dict:
+            raise TypeError(f"expected a JSON object, got {_json_type(doc)}")
+        values = []
+        for key, read in readers.items():
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
+            values.append(read(doc[key]))
+        return values if build is None else build(*values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid {what} JSON: {exc}") from exc
 
 
 class Mapping(Record):
@@ -152,12 +165,7 @@ class Mapping(Record):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Mapping":
-        try:
-            n = _json_int(_json_field(d, "n"))
-            table = _json_ints(d, "table")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"invalid mapping JSON: {exc}") from exc
-        return cls(n, table)
+        return cls(*_json_fields(d, "mapping", n=_json_int, table=_json_ints))
 
 
 class CycleStructure(Record):
@@ -336,6 +344,16 @@ def _root_depths(tables: np.ndarray, values=None, buffers=None) -> np.ndarray:
     return _pointer_doubling(tables, np.add, values, buffers)[1]
 
 
+def _dot(name: str, n: int, attributes: dict, edges, labels: dict | None = None) -> str:
+    """A DOT digraph on [n]: vertex v with attributes[v] if it has any, and
+    each edge (v, w) with labels[(v, w)] as its label if labels are given."""
+    lines = [f"digraph {name} {{"]
+    lines += [f"  {v} [{attributes[v]}];" if v in attributes else f"  {v};" for v in range(1, n + 1)]
+    lines += [f'  {v} -> {w} [label="{labels[(v, w)]}"];' if labels else f"  {v} -> {w};" for v, w in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def mapping_to_dot(m: Mapping, *, name: str = "mapping", labels: dict | None = None) -> str:
     """DOT rendering of the functional digraph.
 
@@ -343,33 +361,14 @@ def mapping_to_dot(m: Mapping, *, name: str = "mapping", labels: dict | None = N
     stands out from the hanging trees.  labels, if given, maps each edge
     (v, f(v)) to its label.
     """
-    cs = cycle_structure(m)
-    lines = [f"digraph {name} {{"]
-    for v in range(1, m.n + 1):
-        if cs.cyclic[v - 1]:
-            lines.append(f"  {v} [peripheries=2];")
-        else:
-            lines.append(f"  {v};")
-    for v, w in m.edges():
-        label = f' [label="{labels[(v, w)]}"]' if labels else ""
-        lines.append(f"  {v} -> {w}{label};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    cyclic = dict.fromkeys(cycle_structure(m).cyclic_vertices, "peripheries=2")
+    return _dot(name, m.n, cyclic, m.edges(), labels)
 
 
 def tree_to_dot(t: RootedTree, *, name: str = "tree") -> str:
     """DOT rendering of a rooted tree; the root is filled."""
-    lines = [f"digraph {name} {{"]
-    for v in range(1, t.n + 1):
-        if v == t.root:
-            lines.append(f"  {v} [style=filled, peripheries=2];")
-        else:
-            lines.append(f"  {v};")
-    for v in range(1, t.n + 1):
-        if v != t.root:
-            lines.append(f"  {v} -> {t.parent[v - 1]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = [(v, p) for v, p in enumerate(t.parent, start=1) if v != t.root]
+    return _dot(name, t.n, {t.root: "style=filled, peripheries=2"}, edges)
 
 
 class RngStream(Record):

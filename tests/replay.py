@@ -236,6 +236,10 @@ def _error(name: str, argv: str, stdin: str, message: str) -> Case:
     return Case(argv, stdin=stdin, code=2, stderr=f"error: {message}\n", name=name)
 
 
+# json.loads raises RecursionError on a document nested past the recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+TOO_DEEP = "cannot read JSON input: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
 # a malformed document exits 2 with one error line that names what is wrong
 MALFORMED = [
     _error("edge-too-short", "prufer encode", '{"n": 5, "edges": [[1]]}',
@@ -263,6 +267,21 @@ MALFORMED = [
     # n - 1 edges, vertex 4 isolated: the cycle is what gives it away
     _error("edges-a-cycle-and-an-isolated-vertex", "prufer encode", '{"n": 4, "edges": [[1, 2], [2, 3], [1, 3]]}',
            "not a tree: cycle found through edge (1,3)"),
+    _error("prufer-encode-missing-key", "prufer encode", '{"n": 3}', "invalid edge-list JSON: missing key 'edges'"),
+    _error("joyal-decode-missing-key", "joyal decode", '{"n": 2, "head": 2, "parent": [0, 1]}',
+           "invalid doubly-rooted tree JSON: missing key 'tail'"),
+    _error("joyal-decode-head-a-string", "joyal decode", '{"n": 2, "head": "2", "tail": 1, "parent": [0, 1]}',
+           "invalid doubly-rooted tree JSON: expected an integer, got '2'"),
+    _error("prufer-decode-not-an-object", "prufer decode", "[3]",
+           "invalid Prufer JSON: expected a JSON object, got list"),
+    _error("prufer-decode-too-short", "prufer decode", '{"n": 4, "seq": [1]}',
+           "invalid Prufer JSON: sequence length 1, expected 2 for n=4"),
+    _error("joyal-encode-null", "joyal encode", "null", "invalid mapping JSON: expected a JSON object, got null"),
+    _error("trace-nested-deep", "trace", DEEP, TOO_DEEP),
+    _error("trace-nested-in-a-field", "trace", f'{{"n": 2, "table": {DEEP}}}', TOO_DEEP),
+    _error("joyal-decode-nested-deep", "joyal decode", DEEP, TOO_DEEP),
+    _error("joyal-decode-nested-in-a-field", "joyal decode", f'{{"n": 2, "head": 2, "tail": 1, "parent": {DEEP}}}',
+           TOO_DEEP),
 ]
 
 # no bool, float or string is truncated or parsed into an integer, a non-positive

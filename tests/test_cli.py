@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import re
+import sys
 import tempfile
 
 import pytest
@@ -10,7 +13,11 @@ from replay import (
     STREAM_RANGE, STRICT, UNKNOWN, VERIFY, VERSION, VERSION_CLI, fresh_python, replay, run_main,
 )
 
-from cayleykit import Mapping, PruferSequence, joyal_encode, prufer_decode
+from cayleykit import (
+    Histogram, Mapping, PruferSequence, RngStream, RootedTree, conditional_event_probabilities, estimate_unique_cyclic,
+    joyal_encode, prufer_decode, sample_collision_count, sample_rooted_tree_prufer, two_sample_chi_square,
+)
+from cayleykit.montecarlo import run_trials
 
 
 # Each row of the replay table runs under one of these tests, once per --jobs
@@ -79,6 +86,26 @@ def _no_worker(*args):
     raise AssertionError("a worker ran")
 
 
+# the CLI checks each of these before the library is called, so only these calls reach the library's own check
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: run_trials(_no_worker, 5, 0, 0, 1), "trials must be >= 1, got 0", id="run_trials-trials"),
+    pytest.param(lambda: run_trials(_no_worker, 5, 0, 10, 0), "jobs must be >= 1, got 0", id="run_trials-jobs"),
+    pytest.param(lambda: estimate_unique_cyclic(0, 10, 0), "n must be >= 1, got 0", id="estimate_unique_cyclic"),
+    pytest.param(lambda: two_sample_chi_square(Histogram(0, (), 0), Histogram(0, (1,), 1)),
+                 "histograms must be non-empty", id="two_sample_chi_square"),
+    pytest.param(lambda: sample_rooted_tree_prufer(0, RngStream(0)), "n must be >= 1, got 0",
+                 id="sample_rooted_tree_prufer"),
+    pytest.param(lambda: sample_collision_count(0, RngStream(0)), "n must be >= 1, got 0", id="sample_collision_count"),
+    pytest.param(lambda: RootedTree(3, 3, (3, 3, 0)).depth(4), "vertex 4 out of range [1..3]", id="depth"),
+    pytest.param(lambda: conditional_event_probabilities(()), "T must be non-empty",
+                 id="conditional_event_probabilities"),
+])
+def test_the_library_checks_its_own_inputs(monkeypatch, call, message):
+    monkeypatch.setattr("cayleykit.montecarlo.count_unique_cyclic", _no_worker)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("case, jobs", _runs(STREAM_RANGE, lambda case, jobs: f"{jobs}-{case.argv}"))
 def test_a_trial_count_past_the_stream_range_exits_2(monkeypatch, case, jobs):
     # a worker that starts fails the row at once, where it would run for 2**63 trials
@@ -115,6 +142,21 @@ def test_version_and_help_via_subprocess():
     for sub in ("sample-function", "trace", "verify-cayley", "check-conditionals", "enumerate", "sample-tree",
                 "heights", "prufer", "joyal"):
         assert sub in out
+
+
+HELP = pathlib.Path(__file__).parent / "help"
+SUBCOMMANDS = ("sample-function", "trace", "verify-cayley", "check-conditionals", "enumerate", "sample-tree", "heights",
+               "prufer", "joyal")
+
+
+# recorded at COLUMNS=80; 3.13's argparse wraps the top-level usage line differently
+@pytest.mark.parametrize("command", ["cayleykit", *SUBCOMMANDS])
+def test_every_help_page_matches_its_golden(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_main(([] if command == "cayleykit" else [command]) + ["--help"])
+    newer = HELP / f"{command}-py313.txt"
+    golden = newer if sys.version_info >= (3, 13) and newer.exists() else HELP / f"{command}.txt"
+    assert (code, out, err) == (0, golden.read_text(), "")
 
 
 def test_unknown_subcommand_exits_2():
