@@ -251,24 +251,26 @@ def prufer_parent_rows(words: np.ndarray, n: int) -> np.ndarray:
 
     Row j of words holds a word over [0, n) of length max(n-2, 0); row j
     of the result is its tree's parent array with labels lowered by
-    one, and -1 in slot n-1.  All words are decoded at once: each step
-    joins every row's smallest leaf, argmax(deg == 1), to the row's
-    next word entry.
+    one, and -1 in slot n-1.  All words are decoded at once on flat
+    indices, a leaf mask updated at two labels per step: each step joins
+    every row's smallest leaf, its first in the mask, to its next entry.
     """
     import numpy as np  # the only numpy user here: the scalar codecs load without it
 
-    r = np.arange(len(words))
-    deg = 1 + np.bincount((words + n * r[:, None]).ravel(), minlength=len(words) * n)
-    deg = deg.reshape(-1, n)
-    parent = np.full((len(words), n), -1)
+    base = np.arange(len(words)) * n
+    deg = 1 + np.bincount((words + base[:, None]).ravel(), minlength=len(words) * n)
+    leaves = deg == 1
+    parent = np.full(len(words) * n, -1)
     for x in words.T:
-        leaf = (deg == 1).argmax(axis=1)
-        parent[r, leaf] = x
-        deg[r, leaf] = 0
-        deg[r, x] -= 1
+        leaf = base + leaves.reshape(-1, n).argmax(axis=1)
+        parent[leaf] = x
+        leaves[leaf] = False
+        x = base + x  # a word entry is no leaf: its degree stays above 1 until this step
+        deg[x] -= 1
+        leaves[x] = deg[x] == 1
     if n > 1:  # the last edge joins the one leaf left below n-1 to n-1
-        parent[r, (deg == 1).argmax(axis=1)] = n - 1
-    return parent
+        parent[base + leaves.reshape(-1, n).argmax(axis=1)] = n - 1
+    return parent.reshape(-1, n)
 
 
 def prufer_decode(p: PruferSequence) -> list[tuple[int, int]]:

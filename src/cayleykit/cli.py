@@ -64,8 +64,37 @@ def _emit(args, text: str) -> None:
         raise ValueError(f"cannot write output: {exc}") from exc
 
 
+_FLAT_JSON = json.JSONEncoder(separators=(",\n", ": ")).encode  # the C encoder, items split by ",\n"
+
+
+def _flat(value) -> bool:  # a nonempty container of json's scalars, their subclasses excepted
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
+    return bool(items) and {*map(type, items)} <= {str, int, float, bool, type(None)}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2) at newline's indent; a flat container, or a list of them, is one C-encoder call:
+    strings escape newlines and NULs, so each raw newline is a separator, after a bracket one between containers."""
+    inner = newline + "  "
+    if _flat(value):
+        text = _FLAT_JSON(value)
+        return text[0] + inner + text[1:-1].replace("\n", inner) + newline + text[-1]
+    if not isinstance(value, (dict, list, tuple)) or not value:  # a scalar or an empty container
+        return json.dumps(value)
+    if isinstance(value, dict):
+        keys = (json.dumps(k if isinstance(k, str) else json.dumps(k)) for k in value)  # converted as json does
+        parts = (key + ": " + _json_text(x, inner) for key, x in zip(keys, value.values()))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if all(map(_flat, value)):
+        texts = _FLAT_JSON(value)[1:-1].replace("},\n", "}\0").replace("],\n", "]\0").split("\0")
+        parts = (text[0] + inner + "  " + text[1:-1].replace("\n", inner + "  ") + inner + text[-1] for text in texts)
+    else:
+        parts = (_json_text(x, inner) for x in value)
+    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+
+
 def _emit_json(args, doc: dict) -> None:
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    _emit(args, _json_text(doc) + "\n")
 
 
 def _require_counts(args, *names: str) -> None:

@@ -28,8 +28,8 @@ if TYPE_CHECKING:
 ATTEMPT_CAP_FACTOR = 10_000
 
 #: Largest n at which _prufer_heights decodes all words at once, O(n^2) per word, not
-#: each by prufer_parents; the two cross near n = 1000 (2-core x86-64 host).
-_ROWS_DECODE_MAX_N = 1000
+#: each by prufer_parents; the two cross near n = 4000 (2-core x86-64 host).
+_ROWS_DECODE_MAX_N = 4000
 
 _EPS = 2.0**-53  # half the spacing of floats at 1
 _TINY = 1e-300  # stands in for a zero denominator in Lentz's method
@@ -145,23 +145,25 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     from . import montecarlo
 
     rows = montecarlo._bounded_draws(n, master_seed, streams, 0, n)[0]
-    r = np.arange(len(rows))
+    base = np.arange(len(rows)) * n
     word, root, vertex = rows[:, : n - 2], rows[:, n - 2], rows[:, n - 1]
     if n <= _ROWS_DECODE_MAX_N:
         parent = prufer_parent_rows(word, n)
     else:  # 1-based parents, NO_PARENT (0) at n, lowered to prufer_parent_rows' labels
         parent = np.array([prufer_parents(PruferSequence(n, w)) for w in (word + 1).tolist()]) - 1
-    up = np.full((len(rows), n), -1)  # up[j, a]: distance from root to its ancestor a
-    live, a, d = r, root, 0
-    while live.size:
-        up[live, a] = d
-        a = parent[live, a]
-        live, a, d = live[a >= 0], a[a >= 0], d + 1
-    v, climb = vertex.copy(), np.zeros(len(rows), dtype=np.int64)
-    while (off := np.flatnonzero(up[r, v] < 0)).size:
-        v[off] = parent[off, v[off]]
+    parent += base[:, None]  # to flat indices base + label in place: a chunk's copy would raise the peak
+    parent[:, n - 1] = -1  # the root, n-1 in either decode
+    parent, up = parent.ravel(), np.full(parent.size, -1)  # up[base + a]: distance from root to its ancestor a
+    a, d = base + root, 0
+    while a.size:
+        up[a] = d
+        a = parent[a]
+        a, d = a[a >= 0], d + 1
+    v, climb = base + vertex, np.zeros(len(rows), dtype=np.int64)
+    while (off := np.flatnonzero(up[v] < 0)).size:
+        v[off] = parent[v[off]]
         climb[off] += 1
-    return climb + up[r, v]
+    return climb + up[v]
 
 
 def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
@@ -169,12 +171,12 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
 
     Attempt j is draws [jn, (j+1)n) and the vertex is the draw after the
     first accepted attempt.  Each segment reads the next attempts of the
-    streams still pending from their cursors, about n per stream of the
-    chunk in all and at most _CHUNK_DRAWS // n per stream, and one draw
-    ahead.  A pending stream's next segment starts one half back, on the
-    half of that draw: the halves between it and the last attempt's were
-    rejected.  The height is the vertex's core._root_depths, taken over
-    all accepted tables at once.
+    streams still pending from their cursors, n per stream (its remaining
+    attempts are geometric with mean n) and at most _CHUNK_DRAWS // n,
+    and one draw ahead.  A pending stream's next segment starts one half
+    back, on the half of that draw: the halves between it and the last
+    attempt's were rejected.  The height is the vertex's
+    core._root_depths, taken over all accepted tables at once.
     """
     import numpy as np
     from . import montecarlo
@@ -185,11 +187,8 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
     while pending.size:
         if attempt >= cap:
             raise _attempt_cap_error(n)
-        count = min(len(streams) * n // pending.size, montecarlo._CHUNK_DRAWS // n)
-        count = min(cap - attempt, max(1, count))
-        rows, cursors = montecarlo._bounded_draws(
-            n, master_seed, streams[pending], cursors, count * n + 1
-        )
+        count = min(cap - attempt, max(1, min(n, montecarlo._CHUNK_DRAWS // n)))
+        rows, cursors = montecarlo._bounded_draws(n, master_seed, streams[pending], cursors, count * n + 1)
         tables = rows[:, : count * n].reshape(-1, count, n)
         accepted = montecarlo._unique_cyclic_mask(tables.reshape(-1, n)).reshape(-1, count)
         found = accepted.any(axis=1)
@@ -211,15 +210,15 @@ def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     import numpy as np
     from . import montecarlo
 
-    rows = montecarlo._bounded_draws(n, master_seed, streams, 0, n + 1)[0]
-    r = np.arange(len(rows))
-    seen = np.zeros((len(rows), n), dtype=bool)
-    first = np.zeros(len(rows), dtype=np.int64)
-    for t, y in enumerate(rows.T):
-        first[(first == 0) & seen[r, y]] = t
+    base = np.arange(len(streams)) * n
+    columns = montecarlo._bounded_draws(n, master_seed, streams, 0, n + 1)[0].T + base  # on flat indices base + value
+    seen = np.zeros(len(streams) * n, dtype=bool)
+    first = np.zeros(len(streams), dtype=np.int64)
+    for t, y in enumerate(columns):
+        first[(first == 0) & seen[y]] = t
         if first.all():
             break
-        seen[r, y] = True
+        seen[y] = True
     return first - 1
 
 
@@ -350,7 +349,7 @@ def law_equality_report(
     enough to enumerate) adds the exact rational identity between the
     pmf of 1+H and the collision pmf.  All tests use the given
     level's chi-square critical values.  A check whose mass pools into
-    one bin has df 0 and critical value 0; it is reported, not warned.
+    one bin has df 0 and critical value 0: nothing to test, so it passes.
     """
     from .enumeration import exact_collision_pmf, exact_height_pmf
     from .montecarlo import Histogram, chi_square_statistic, run_trials, two_sample_chi_square
@@ -371,7 +370,7 @@ def law_equality_report(
         (f"height_plus_one[{method}] vs collision (two-sample)", two_sample_chi_square(hist_h, hist_c)),
     ):
         crit = _critical_value(df, level)
-        checks.append(ChiSquareCheck(label, stat, df, crit, stat <= crit))
+        checks.append(ChiSquareCheck(label, stat, df, crit, df == 0 or stat <= crit))  # df 0: nothing to test
     exact_equal = None
     if n <= 6:  # larger n would cost a full n^n enumeration
         height_pmf = exact_height_pmf(n)  # entry h is P(H=h), i.e. P(1+H = h+1)

@@ -146,17 +146,18 @@ def _philox_words(master_seed: int, indices: np.ndarray, first: np.ndarray, bloc
 def _keyed_words(master_seed: int, indices: np.ndarray, first: np.ndarray, blocks: int) -> np.ndarray:
     """_philox_words from numpy's Philox re-keyed per stream; faster for long rows.
 
-    One Philox is re-keyed through its state for each stream instead of
-    built anew, which would also seed it from OS entropy first.
+    One Philox's state is set to each stream's key and counter [first[j], 0, 0, 0]:
+    built anew it would seed itself from OS entropy first, and advance() costs as much again.
     """
     bits = np.random.Philox(key=0)
-    fresh = bits.state  # counter 0, empty buffer: the state of a new stream
+    state = bits.state  # its buffer is empty, as in a new stream
     words = np.empty((len(indices), 4 * blocks), dtype=np.uint64)
     firsts = np.broadcast_to(first, indices.shape).tolist()
     for j, (i, c) in enumerate(zip(indices.tolist(), firsts)):
-        fresh["state"]["key"] = (master_seed, i)
-        bits.state = fresh
-        words[j] = bits.advance(c).random_raw(4 * blocks)
+        state["state"]["key"] = (master_seed, i)
+        state["state"]["counter"] = (c, 0, 0, 0)
+        bits.state = state
+        words[j] = bits.random_raw(4 * blocks)
     return words
 
 
@@ -337,31 +338,29 @@ def _round_event_tallies(tables: np.ndarray, tallies: Counter) -> Counter:
     All rows reveal one new vertex per step, so they explore in lockstep.
     Round i ends at step T_i, on an explored vertex: a success in round 1
     on a self loop, later on a vertex of an earlier round.  The next round
-    starts at the smallest unexplored label.  Rounds are counted by code,
-    (i, T_{i-1}, T_i) in base n + 1 and a success bit, int64 for n < 2**20,
-    and added to tallies under (i, T_{i-1}, T_i, success).
+    starts at the smallest unexplored label.  Each step codes the rounds
+    it ends, (i, T_{i-1}, T_i) in base n + 1 and a success bit, int64 for
+    n < 2**20; the codes are counted and added to tallies under
+    (i, T_{i-1}, T_i, success).
     """
     rows, n = tables.shape
     base = np.arange(rows) * n
     f = tables.ravel()
     step_of = np.zeros(rows * n, dtype=np.min_scalar_type(n))  # 0: unexplored
-    seen = np.empty((n, rows), dtype=step_of.dtype)  # step_of[f(v)], by step
-    v = base.copy()
+    round_of, t_end = np.ones(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)  # i and T_{i-1}, by row
+    codes, v = [], base.copy()
     for s in range(1, n + 1):
         step_of[v] = s
         w = f[v] + base  # flat index of f(v); v[r] is in row r
-        seen[s - 1] = step_of[w]
-        e = np.flatnonzero(seen[s - 1])
+        seen = step_of[w]
+        e = np.flatnonzero(seen)
+        i, t_prev, seen = round_of[e], t_end[e], seen[e]
+        codes.append(((i * (n + 1) + t_prev) * (n + 1) + s) * 2 + np.where(i == 1, seen == s, seen <= t_prev))
+        round_of[e] += 1
+        t_end[e] = s
         v = w
         v[e] = base[e] + (step_of.reshape(rows, n)[e] == 0).argmax(axis=1)
-    ended = seen != 0
-    ends = np.where(ended, np.arange(1, n + 1, dtype=seen.dtype)[:, None], 0)
-    t_prev = np.maximum.accumulate(np.pad(ends[:-1], ((1, 0), (0, 0))), axis=0)
-    i = np.cumsum(ended, axis=0, dtype=seen.dtype) - ended + 1  # the round at each step
-    success = np.where(i == 1, seen == ends, seen <= t_prev)
-    i = i[ended].astype(np.int64)  # wide enough for the codes
-    codes = ((i * (n + 1) + t_prev[ended]) * (n + 1) + ends[ended]) * 2 + success[ended]
-    keys, counts = np.unique(codes, return_counts=True)
+    keys, counts = np.unique(np.concatenate(codes), return_counts=True)
     for code, count in zip(keys.tolist(), counts.tolist()):
         rest, t = divmod(code >> 1, n + 1)
         key = divmod(rest, n + 1) + (t, code & 1)

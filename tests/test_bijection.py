@@ -238,6 +238,10 @@ def test_prufer_parent_rows_match_the_scalar_decoder():
         for n in range(1, 7)
     ]
     cases += [(n, rng.integers(0, n, size=(300, n - 2))) for n in (8, 30)]
+    for n in (1, 2, 3, 64, 65):  # planted: stars around 1 and n, and paths entered from either end
+        length = max(n - 2, 0)
+        planted = [[0] * length, [n - 1] * length, list(range(1, length + 1)), list(range(length, 0, -1))]
+        cases.append((n, np.array(planted, dtype=int)))
     for n, words in cases:
         words = words.reshape(len(words), max(n - 2, 0))
         rows = prufer_parent_rows(words, n)

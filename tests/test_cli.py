@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -17,6 +18,7 @@ from cayleykit import (
     Histogram, Mapping, PruferSequence, RngStream, RootedTree, conditional_event_probabilities, estimate_unique_cyclic,
     joyal_encode, prufer_decode, sample_collision_count, sample_rooted_tree_prufer, two_sample_chi_square,
 )
+from cayleykit import cli
 from cayleykit.montecarlo import run_trials
 
 
@@ -317,6 +319,36 @@ def test_heights_report_json():
     assert doc["height_method"] == "prufer"
     _, out, _ = run_main(["heights", "--n", "9", "--trials", "10", "--seed", "21"])
     assert json.loads(out)["exact_law_equal"] is None  # beyond n = 6 only the sampled checks
+
+
+_WRITER_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e16, "", "\n", "a\nb", "]},\n[{", "\x00"]),
+    st.text(),
+)
+_WRITER_KEYS = st.one_of(st.text(), st.integers(min_value=-(2**70), max_value=2**70), st.booleans(), st.none(),
+                       st.floats(allow_nan=False))
+_WRITER_VALUES = st.recursive(
+    _WRITER_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(_WRITER_KEYS, kids, max_size=5)),
+    max_leaves=30,
+)
+
+
+@given(_WRITER_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_the_json_writer_writes_the_bytes_of_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_the_json_writer_on_planted_values():
+    flat = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan, "zero": -0.0, "tiny": 5e-324, "big": 1e16,
+            "bools": True, "none": None, 7: "\u00e9\u65e5\n\t\x01", "": []}
+    for value in (flat, [flat, flat], [flat, [1, 2], (3,)], [[], {}], [{}, {"a": 1}], [[1], [2, [3]]], {1: {}},
+                  {"a": [{"b": 1}, {"c": [2, {}]}], 2.5: (), None: {"x": None}, False: [[]]}, [], {}, (), "x", 1.5):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def test_prufer_cli_round_trip(tmp_path):

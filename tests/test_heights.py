@@ -377,6 +377,27 @@ def test_rejection_kernel_reads_a_vertex_past_its_segment(monkeypatch):
     assert list(_rejection_heights(n, seed, s)) == want
 
 
+def test_rejection_kernel_reads_few_draws_past_its_trees(monkeypatch):
+    # a pending stream's next segment holds n attempts; its remaining
+    # attempts are geometric with mean n, so a stream reads about
+    # n^2 / (1 - 1/e) = 1.58 n^2 draws, against 2.6-3.0 n^2 for segments
+    # that grew as the pending streams thinned out
+    n, seed, read = 30, 20250801, []
+    draws = montecarlo._bounded_draws
+
+    def counted(n, master_seed, indices, cursors, length):
+        read.append(len(indices) * length)
+        return draws(n, master_seed, indices, cursors, length)
+
+    monkeypatch.setattr(montecarlo, "_bounded_draws", counted)
+    s = 2 * np.arange(400, dtype=np.uint64)
+    got = _rejection_heights(n, seed, s)
+    assert sum(read) <= 1.7 * n * n * len(s)
+    monkeypatch.setattr(montecarlo, "_bounded_draws", draws)
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "rejection"), s[:40])
+    assert list(got[:40]) == want
+
+
 def test_batched_rejection_tallies_keep_the_attempt_cap(monkeypatch):
     # a cap of n attempts leaves about a third of the trees unaccepted
     monkeypatch.setattr(heights, "ATTEMPT_CAP_FACTOR", 1)

@@ -121,6 +121,18 @@ def test_vectorised_draws_at_large_n(monkeypatch):
     assert np.array_equal(draw_tables(n, SEED, start, stop), want)
 
 
+@pytest.mark.parametrize("seed", [0, SEED, 2**64 - 1])
+def test_keyed_words_set_each_rows_first_block(seed):
+    indices = np.array([0, 3, 2**63, 2**64 - 1], dtype=np.uint64)
+    first = np.array([0, 1, 2**40, 2**62], dtype=np.int64)
+    for blocks in (1, 3):
+        want = montecarlo._philox_words(seed, indices, first, blocks)
+        assert np.array_equal(montecarlo._keyed_words(seed, indices, first, blocks), want)
+        # and one first block for every row, broadcast
+        want = montecarlo._philox_words(seed, indices, first[2:3], blocks)
+        assert np.array_equal(montecarlo._keyed_words(seed, indices, first[2:3], blocks), want)
+
+
 def test_draw_tables_validation():
     assert draw_tables(5, SEED, 10, 10).shape == (0, 5)
     with pytest.raises(ValueError):
