@@ -275,7 +275,8 @@ def cmd_joyal(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of argv: only the subcommands it names get their arguments, with the full parser's bytes."""
     parser = argparse.ArgumentParser(
         prog="cayleykit",
         description=(
@@ -309,16 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("joyal", "rewire mappings to doubly-rooted trees and back", cmd_joyal, direction, "--input"),
     ):
         p = sub.add_parser(command, help=summary)
+        p.set_defaults(func=func)
+        if command not in argv:  # never invoked, and the top-level usage lists no sub-arguments
+            continue
         for option in (*options, "--output"):  # a shared option by name, or (name, its own keywords)
             name, own = (option, {}) if isinstance(option, str) else option
             p.add_argument(name, **{**_OPTIONS.get(name, {}), **own})
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, MemoryError) as exc:  # MemoryError: an n too large to draw

@@ -89,6 +89,11 @@ def sample_rooted_tree_prufer(n: int, stream: RngStream) -> RootedTree:
     return _sample_tree_prufer(stream.draws(), n)
 
 
+def _first_window(n: int) -> int:
+    """A collision sample's first batch of draws: 2 sqrt(2n) repeat w.p. about 1 - e^-4."""
+    return min(n + 1, max(8, 2 * math.isqrt(2 * n)))
+
+
 def sample_collision_count(n: int, stream: RngStream) -> int:
     """Distinct uniform draws on [1..n] seen before the first repeat.
 
@@ -98,8 +103,8 @@ def sample_collision_count(n: int, stream: RngStream) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    draws, seen, size = stream.draws(), set(), max(8, 2 * math.isqrt(2 * n))
-    while True:  # 2 sqrt(2n) draws repeat w.p. about 1 - e^-4; doubling, never past n+1
+    draws, seen, size = stream.draws(), set(), _first_window(n)
+    while True:  # doubling batches, never past n+1
         for y in draws.integers(1, n + 1, size=min(size, n + 1 - len(seen))):
             if y in seen:
                 return len(seen)
@@ -170,55 +175,67 @@ def _rejection_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndar
     """The rejection sampler's height on each stream.
 
     Attempt j is draws [jn, (j+1)n) and the vertex is the draw after the
-    first accepted attempt.  Each segment reads the next attempts of the
-    streams still pending from their cursors, n per stream (its remaining
-    attempts are geometric with mean n) and at most _CHUNK_DRAWS // n,
-    and one draw ahead.  A pending stream's next segment starts one half
-    back, on the half of that draw: the halves between it and the last
-    attempt's were rejected.  The height is the vertex's
-    core._root_depths, taken over all accepted tables at once.
+    first accepted attempt.  A pool of at most _CHUNK_DRAWS // (count n)
+    streams reads segments of count = n attempts each (a stream's
+    remaining attempts are geometric with mean n), at most _CHUNK_DRAWS
+    // n, and one draw ahead, from its own cursor and against its own
+    cap; accepted streams leave, and the next enter at cursor 0.  A
+    stream's next segment starts one half back, on the half of the draw
+    read ahead.  The height is the vertex's core._root_depths.
     """
     import numpy as np
     from . import montecarlo
 
-    cap = ATTEMPT_CAP_FACTOR * n
+    cap, count = ATTEMPT_CAP_FACTOR * n, max(1, min(n, montecarlo._CHUNK_DRAWS // n))
+    size, entered = max(1, montecarlo._CHUNK_DRAWS // (count * n)), 0
     heights = np.full(len(streams), -1)
-    pending, cursors, attempt = np.arange(len(streams)), 0, 0
-    while pending.size:
-        if attempt >= cap:
-            raise _attempt_cap_error(n)
-        count = min(cap - attempt, max(1, min(n, montecarlo._CHUNK_DRAWS // n)))
-        rows, cursors = montecarlo._bounded_draws(n, master_seed, streams[pending], cursors, count * n + 1)
+    pool = cursors = tried = np.zeros(0, dtype=np.int64)  # the pool's streams, their cursors and attempts
+    while pool.size or entered < len(streams):
+        new = np.arange(entered, min(len(streams), entered + size - pool.size))
+        entered, zero = entered + new.size, np.zeros_like(new)
+        pool, cursors, tried = (np.concatenate(pair) for pair in ((pool, new), (cursors, zero), (tried, zero)))
+        rows, ends = montecarlo._bounded_draws(n, master_seed, streams[pool], cursors, count * n + 1)
         tables = rows[:, : count * n].reshape(-1, count, n)
         accepted = montecarlo._unique_cyclic_mask(tables.reshape(-1, n)).reshape(-1, count)
+        accepted &= tried[:, None] + np.arange(count) < cap
         found = accepted.any(axis=1)
+        if (tried[~found] + count >= cap).any():
+            raise _attempt_cap_error(n)
         done = np.flatnonzero(found)
         k = accepted[done].argmax(axis=1)
         f, v = tables[done, k], rows[done, (k + 1) * n] + n * np.arange(len(done))
-        heights[pending[done]] = _root_depths(f)[v]
-        pending, cursors = pending[~found], cursors[~found] - 1
-        attempt += count
+        heights[pool[done]] = _root_depths(f)[v]
+        pool, cursors, tried = pool[~found], ends[~found] - 1, tried[~found] + count
     return heights
 
 
 def _collision_bins(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray:
     """The collision count minus one on each stream.
 
-    Sweeps the n + 1 draws column by column until every row has drawn
-    a value it has seen; the count is the index of that draw.
+    Reads sample_collision_count's batches: _first_window(n) draws, then
+    doubling windows, from their cursors, of the rows without a repeat.
+    Each window is swept column by column, marking one flat seen array
+    at base + value, until every row has drawn a value it has seen; the
+    count is the index of that draw.
     """
     import numpy as np
     from . import montecarlo
 
     base = np.arange(len(streams)) * n
-    columns = montecarlo._bounded_draws(n, master_seed, streams, 0, n + 1)[0].T + base  # on flat indices base + value
     seen = np.zeros(len(streams) * n, dtype=bool)
     first = np.zeros(len(streams), dtype=np.int64)
-    for t, y in enumerate(columns):
-        first[(first == 0) & seen[y]] = t
-        if first.all():
-            break
-        seen[y] = True
+    pending, cursors, t, width = np.arange(len(streams)), 0, 0, _first_window(n)
+    while pending.size:
+        rows, cursors = montecarlo._bounded_draws(n, master_seed, streams[pending], cursors, width)
+        hit = np.zeros(len(pending), dtype=np.int64)  # 0 until the row repeats: draw 0 never does
+        for j, y in enumerate(rows.T + base[pending], start=t):  # on flat indices base + value
+            hit[(hit == 0) & seen[y]] = j
+            if hit.all():
+                break
+            seen[y] = True
+        first[pending] = hit
+        pending, cursors, t = pending[hit == 0], cursors[hit == 0], t + width
+        width = min(2 * width, n + 1 - t)
     return first - 1
 
 
@@ -231,9 +248,10 @@ def tally_law_histograms(n: int, master_seed: int, start: int, stop: int, method
 
     Trial i draws its height sample from stream 2i and its collision
     sample from stream 2i+1, keeping the two sequences independent and
-    any trial partition reproducible.  Each kernel draws chunks of trials
-    at once, sized by its own draws per trial, and gives the per-trial
-    samplers' values on every stream, at every n.
+    any trial partition reproducible.  The kernels take chunks of trials
+    sized by n + 1 draws a trial for Prufer, n for rejection (its pool
+    bounds a segment) and the first window for the collisions, and give
+    the per-trial samplers' values on every stream, at every n.
     """
     kernel = _HEIGHT_KERNELS.get(method)
     if kernel is None:
@@ -242,7 +260,7 @@ def tally_law_histograms(n: int, master_seed: int, start: int, stop: int, method
     from . import montecarlo
 
     counts = np.zeros((2, n), dtype=np.int64)
-    kernels = ((kernel, n * n if method == "rejection" else n + 1), (_collision_bins, n + 1))
+    kernels = ((kernel, n if method == "rejection" else n + 1), (_collision_bins, _first_window(n)))
     for parity, (sample, draws_per_trial) in enumerate(kernels):
         for streams in montecarlo._stream_chunks(master_seed, start, stop, draws_per_trial, stride=2):
             counts[parity] += np.bincount(sample(n, master_seed, streams + np.uint64(parity)), minlength=n)

@@ -164,7 +164,8 @@ def _keyed_words(master_seed: int, indices: np.ndarray, first: np.ndarray, block
 def _window(n: int, master_seed: int, indices: np.ndarray, cursors: np.ndarray, width: int):
     """Lemire's values, and which are accepted, of halves [c, c + width) of each stream.
 
-    c is the stream's cursor.  Equal cursors share one start and slice.
+    c is the stream's cursor.  Equal cursors share one start and slice;
+    otherwise the rows of each skip c mod 8 (eight at most) are one slice.
     """
     first, skip = np.divmod(cursors, 8)  # a Philox block holds eight 32-bit halves
     same = (cursors == cursors[:1]).all()
@@ -173,12 +174,15 @@ def _window(n: int, master_seed: int, indices: np.ndarray, cursors: np.ndarray, 
     source = _philox_words if 8 * blocks <= _VECTOR_MAX_HALVES else _keyed_words
     words = source(master_seed, indices, first[:1] if same else first, blocks)
     halves = words.astype("<u8", copy=False).view("<u4")  # little-endian: low half first
-    if same:
-        draws = halves[:, start : start + width]
-    else:
-        draws = np.take_along_axis(halves, skip[:, None] + np.arange(width), axis=1)
-    scaled = (draws * np.uint64(n)).view("<u4").reshape(len(indices), width, 2)
-    return scaled[:, :, 1].astype(np.int64), scaled[:, :, 0] >= (1 << 32) % n
+    draws = halves[:, start : start + width]
+    if not same:
+        draws = np.empty_like(draws)
+        for s in np.flatnonzero(np.bincount(skip)).tolist():  # np.unique would import numpy.ma
+            draws[skip == s] = halves[skip == s, s : s + width]
+    scaled = np.multiply(draws, n, dtype=np.uint64)  # uint64 under numpy 1's value-based promotion too
+    kept = scaled.view("<u4").reshape(len(indices), width, 2)[:, :, 0] >= (1 << 32) % n
+    scaled >>= _S32  # the values, below n: int64 words in place
+    return scaled.view(np.int64), kept
 
 
 def _bounded_draws(

@@ -131,6 +131,8 @@ HEIGHTS = [
         (257, "rejection", 40, 2**64 - 1, 0, True, ()),  # 40 trials over 257 bins: df 0 in every check
         (300, "rejection", 40, 2**64 - 1, 0, True, ()),  # segments read from per-stream cursors
         (1000, "prufer", 300, 2**64 - 1, 0, False, ()),  # a decode of every word at once
+        (2000, "rejection", 12, 2**64 - 1, 0, True, ()),  # a pool of one stream, 32 attempts a segment
+        (5000, "prufer", 40, 2**64 - 1, 0, True, ()),  # collision windows that widen five times
     )
 ]
 

@@ -246,8 +246,9 @@ def _per_trial_tallies(n, seed, start, stop, method):
 @pytest.mark.parametrize("method", ["prufer", "rejection"])
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 def test_batched_tallies_match_per_trial_samplers(monkeypatch, n, method, seed):
-    # chunks of 4 trials, so every range spans several; the last range
-    # ends at the largest trial whose streams fit in 64 bits
+    # chunks of 4 trials (the rejection kernel's hold 4n, read by a pool
+    # of 4 streams), so every range spans several chunks or pools; the
+    # last range ends at the largest trial whose streams fit in 64 bits
     per_trial = n * n if method == "rejection" else n + 1
     monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 4 * per_trial)
     k = 5 if method == "rejection" and n > 100 else 15
@@ -403,6 +404,100 @@ def test_batched_rejection_tallies_keep_the_attempt_cap(monkeypatch):
     monkeypatch.setattr(heights, "ATTEMPT_CAP_FACTOR", 1)
     with pytest.raises(RuntimeError, match="30 attempts at n=30"):
         tally_law_histograms(30, SEED, 0, 50, "rejection")
+
+
+def _logged_draws(monkeypatch):
+    """Calls of montecarlo._bounded_draws from here on, as (streams, cursors, length)."""
+    calls, draws = [], montecarlo._bounded_draws
+
+    def logged(n, master_seed, indices, cursors, length):
+        calls.append((indices.tolist(), np.broadcast_to(cursors, indices.shape).tolist(), length))
+        return draws(n, master_seed, indices, cursors, length)
+
+    monkeypatch.setattr(montecarlo, "_bounded_draws", logged)
+    return calls
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_rejection_pool_refills_in_stream_order(monkeypatch, size):
+    # a pool of 2 or 3 streams, segments of n attempts: as streams accept,
+    # the next ones enter at cursor 0 beside streams read on from their
+    # cursors, and once none is left to enter the pool drains (trials
+    # 13-37: the last enters three segments before the end)
+    n, seed = 30, 90125
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", size * n * n)
+    s = 2 * np.arange(13, 38, dtype=np.uint64)
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "rejection"), s)
+    calls = _logged_draws(monkeypatch)
+    assert list(_rejection_heights(n, seed, s)) == want
+    assert {length for _, _, length in calls} == {n * n + 1}
+    assert max(len(streams) for streams, _, _ in calls) == size
+    entered = [i for streams, cursors, _ in calls for i, c in zip(streams, cursors) if c == 0]
+    assert entered == s.tolist()  # each stream enters once, in order
+    mixed = [cursors for _, cursors, _ in calls if 0 in cursors and max(cursors) > 0]
+    assert mixed  # streams entering mid-run
+    streams, cursors, _ = calls[-1]
+    assert len(streams) < size and 0 not in cursors  # the drain: streams read on, none to enter
+
+
+def test_rejection_pool_stops_at_the_cap_of_a_stream_that_entered_late(monkeypatch):
+    # a cap of 2n = 60 attempts and a pool of 3: trials 0-2 accept at
+    # attempts 17, 54 and 27, and trial 3, which enters when trial 0
+    # leaves, would accept at attempt 72
+    n, seed = 30, 90125
+    s = 2 * np.arange(4, dtype=np.uint64)
+    attempts = [sample_rooted_tree_rejection(n, RngStream(seed, int(i)))[1] for i in s]
+    assert attempts == [17, 54, 27, 72]
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 3 * n * n)
+    monkeypatch.setattr(heights, "ATTEMPT_CAP_FACTOR", 2)
+    with pytest.raises(RuntimeError, match="60 attempts at n=30"):
+        heights._sample_tree_rejection(RngStream(seed, int(s[3])).generator(), n)
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "rejection"), s[:3])
+    assert list(_rejection_heights(n, seed, s[:3])) == want
+    with pytest.raises(RuntimeError, match="60 attempts at n=30"):
+        _rejection_heights(n, seed, s)
+
+
+def test_rejection_pool_keeps_a_cap_that_splits_a_segment(monkeypatch):
+    # segments of 7 attempts under a cap of 60: the ninth reads attempts
+    # 57-63.  Trial 55 accepts at attempt 59, within the cap; trial 28,
+    # entering after it, first accepts at 62, past it
+    n, seed = 30, 90125
+    s = 2 * np.array([55, 28], dtype=np.uint64)
+    attempts = [sample_rooted_tree_rejection(n, RngStream(seed, int(i)))[1] for i in s]
+    assert attempts == [59, 62]
+    monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 7 * n)
+    monkeypatch.setattr(heights, "ATTEMPT_CAP_FACTOR", 2)
+    want = _per_stream(seed, lambda r: _sample_height(r.generator(), n, "rejection"), s[:1])
+    assert list(_rejection_heights(n, seed, s[:1])) == want
+    with pytest.raises(RuntimeError, match="60 attempts at n=30"):
+        _rejection_heights(n, seed, s)
+
+
+def test_rejection_pool_reads_few_segments(monkeypatch):
+    # chunks of 72 streams, each read until its last tree, end in nearly
+    # empty segments: 26-31 segments for 400 trees at n = 30 (three
+    # seeds); a pool of 72 refilled as trees are accepted needs 11-12
+    n = 30
+    calls = _logged_draws(monkeypatch)
+    tally_law_histograms(n, 20250801, 0, 400, "rejection")
+    assert sum(length == n * n + 1 for _, _, length in calls) <= 20
+
+
+def test_collision_kernel_reads_few_draws_past_its_repeats(monkeypatch):
+    # the first repeat comes after about sqrt(pi n / 2) draws, and a first
+    # window of 2 sqrt(2n) holds it with probability about 1 - e^-4; the
+    # rest read doubling windows, so a stream reads under 2.5 sqrt(2n)
+    # draws on average, against n + 1 in one window
+    seed = 20250801
+    for n, trials in ((50, 3000), (1000, 300), (5000, 100)):
+        s = 2 * np.arange(trials, dtype=np.uint64) + 1
+        want = _per_stream(seed, lambda r: sample_collision_count(n, r) - 1, s)
+        with monkeypatch.context() as patch:
+            calls = _logged_draws(patch)
+            assert list(_collision_bins(n, seed, s)) == want
+        assert sum(len(streams) * length for streams, _, length in calls) <= 2.5 * math.sqrt(2 * n) * trials
+        assert len(calls) > 1  # some rows read a second window
 
 
 def _no_worker(*args):

@@ -133,6 +133,31 @@ def test_keyed_words_set_each_rows_first_block(seed):
         assert np.array_equal(montecarlo._keyed_words(seed, indices, first[2:3], blocks), want)
 
 
+def _integers_from(seed, stream, cursor, n, size):
+    """stream's next size values of integers(0, n) once cursor halves are handed out."""
+    gen = RngStream(seed, stream).generator()
+    gen.integers(0, 2**32, size=cursor, dtype=np.uint32)  # the full range: one raw half per value
+    return gen.integers(0, n, size=size).tolist()
+
+
+@pytest.mark.parametrize("n", [100, 3 * 2**30])
+@pytest.mark.parametrize("width", [5, 100, 300])
+def test_window_reads_every_skip_like_integers(n, width):
+    # each skip c mod 8 twice, from blocks 0 to 80, and one cursor for
+    # all; windows of 100 halves or less come from the vectorised Philox,
+    # of 300 from numpy's re-keyed per row.  No half is rejected at
+    # n = 100 (2**32 mod n = 96), about a quarter at 3 * 2**30, where the
+    # accepted values must be what integers() gives from the cursor on
+    seed, indices = SEED, np.arange(16, dtype=np.uint64) * 7 + 2**63
+    every_skip_twice = np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 18, 27, 36, 45, 54, 63, 640])
+    for cursors in (every_skip_twice, np.full(16, 13)):
+        values, kept = montecarlo._window(n, seed, indices, cursors, width)
+        assert values.shape == kept.shape == (16, width)
+        assert kept.all() == (n == 100)
+        for i, c, row, ok in zip(indices.tolist(), cursors.tolist(), values, kept):
+            assert row[ok].tolist() == _integers_from(seed, i, c, n, int(ok.sum()))
+
+
 def test_draw_tables_validation():
     assert draw_tables(5, SEED, 10, 10).shape == (0, 5)
     with pytest.raises(ValueError):
