@@ -9,7 +9,7 @@ pays for numpy.
 
 import importlib
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 _HOMES = {
     "core": (

@@ -73,9 +73,11 @@ def _flat(value) -> bool:  # a nonempty container of json's scalars, their subcl
 
 
 def _json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2) at newline's indent; a flat container, or a list of them, is one C-encoder call:
-    strings escape newlines and NULs, so each raw newline is a separator, after a bracket one between containers."""
+    """json.dumps(value, indent=2) at newline's indent, a callable value writing itself there; a flat container
+    is one C-encoder call: strings escape newlines, so each raw newline is a separator."""
     inner = newline + "  "
+    if callable(value):
+        return value(newline)
     if _flat(value):
         text = _FLAT_JSON(value)
         return text[0] + inner + text[1:-1].replace("\n", inner) + newline + text[-1]
@@ -85,12 +87,17 @@ def _json_text(value, newline: str = "\n") -> str:
         keys = (json.dumps(k if isinstance(k, str) else json.dumps(k)) for k in value)  # converted as json does
         parts = (key + ": " + _json_text(x, inner) for key, x in zip(keys, value.values()))
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if all(map(_flat, value)):
-        texts = _FLAT_JSON(value)[1:-1].replace("},\n", "}\0").replace("],\n", "]\0").split("\0")
-        parts = (text[0] + inner + "  " + text[1:-1].replace("\n", inner + "  ") + inner + text[-1] for text in texts)
-    else:
-        parts = (_json_text(x, inner) for x in value)
-    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    return "[" + inner + ("," + inner).join(_json_text(x, inner) for x in value) + newline + "]"
+
+
+def _json_rows(columns: dict, newline: str = "\n") -> str:
+    """_json_text of the dicts dict(zip(columns, row)) over the rows of columns' values, each a nonempty
+    sequence of json's scalars: one C-encoder call per column, split at its raw newlines, and one format per row."""
+    inner = newline + "  "
+    keys = (json.dumps(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in columns)
+    row = "{{" + inner + "  " + ("," + inner + "  ").join(keys) + inner + "}}"
+    texts = (_FLAT_JSON(column)[1:-1].split(",\n") for column in columns.values())
+    return "[" + inner + ("," + inner).join(map(row.format, *texts)) + newline + "]"
 
 
 def _emit_json(args, doc: dict) -> None:
@@ -169,32 +176,21 @@ def cmd_check_conditionals(args) -> int:
     if args.min_obs < 0:
         raise ValueError(f"min_obs must be >= 0, got {args.min_obs}")
     from .montecarlo import check_round_conditionals
-    report = check_round_conditionals(args.n, args.trials, args.seed, jobs=args.jobs)
-    flagged = report.flagged_bins(args.min_obs)
-    passed = not flagged
+    r = check_round_conditionals(args.n, args.trials, args.seed, jobs=args.jobs)
+    flagged = r.flagged_count(args.min_obs)
     if args.json:
-        doc = report.to_json_dict()
-        doc["min_obs"] = args.min_obs
-        doc["passed"] = passed
-        _emit_json(args, doc)
+        bins = r.bin_columns("{}/{}".format)
+        _emit_json(args, {"n": args.n, "trials": args.trials, "seed": args.seed, "se_threshold": r.se_threshold,
+                          "bins": lambda nl: _json_rows(bins, nl), "min_obs": args.min_obs, "passed": not flagged})
     else:
-        lines = [
-            f"n={args.n} trials={args.trials} seed={args.seed}",
-            f"{'round':>5} {'T_prev':>6} {'T_cur':>6} {'obs':>8} "
-            f"{'freq':>10} {'predicted':>10} {'dev(SE)':>8} flag",
-        ]
-        for b in report.bins:
-            lines.append(
-                f"{b.round_index:>5} {b.t_prev:>6} {b.t_cur:>6} {b.observations:>8} "
-                f"{b.frequency:>10.5f} {float(b.predicted):>10.5f} "
-                f"{b.deviation_se:>8.2f} {'*' if b.flagged else ''}"
-            )
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'}: {len(flagged)} flagged bins "
-            f"with >= {args.min_obs} observations"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if passed else 1
+        row = "{:>5} {:>6} {:>6} {:>8} {:>10.5f} {:>10.5f} {:>8.2f} {}\n".format
+        p = map(int.__truediv__, r.numerator, r.denominator)
+        rows = map(row, r.round_index, r.t_prev, r.t_cur, r.observations, r.frequency, p, r.deviation_se,
+                   map(("", "*").__getitem__, r.flagged))
+        _emit(args, f"n={args.n} trials={args.trials} seed={args.seed}\n"
+              "round T_prev  T_cur      obs       freq  predicted  dev(SE) flag\n" + "".join(rows)
+              + f"{'FAIL' if flagged else 'PASS'}: {flagged} flagged bins with >= {args.min_obs} observations\n")
+    return 1 if flagged else 0
 
 
 def cmd_enumerate(args) -> int:

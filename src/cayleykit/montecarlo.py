@@ -10,9 +10,9 @@ results bit for bit, sequentially or in parallel.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import sys
 from fractions import Fraction
-from typing import Iterable, Mapping as MappingABC
+from typing import Iterable, Mapping as MappingABC, Sequence
 
 import numpy as np
 
@@ -100,12 +100,6 @@ _PHILOX_M = tuple(np.uint64(m) for m in core._PHILOX_M)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
-#: Longest windows (in 32-bit halves) that _window computes with the
-#: vectorised Philox; longer ones, at any n, come from numpy's Philox
-#: re-keyed per row.  The two costs cross near 270 halves, the former
-#: growing about 4x faster in the window (2-core x86-64 host).
-_VECTOR_MAX_HALVES = 256
-
 #: 32-bit draws per chunk of trials in the batched consumers; bounds
 #: their working set for any n.
 _CHUNK_DRAWS = 1 << 16
@@ -161,6 +155,16 @@ def _keyed_words(master_seed: int, indices: np.ndarray, first: np.ndarray, block
     return words
 
 
+def _vectorised_is_cheaper(rows: int, blocks: int) -> bool:
+    """Whether _philox_words beats _keyed_words at rows streams of blocks Philox blocks: 159 + 0.157 rows blocks us,
+    ten rounds of numpy calls, against (2.14 + 0.018 blocks) rows, a state set per row (least squares over rows <= 1310
+    and blocks <= 32, best of 25 calls; shared 2-core x86-64 host, numpy 2.4.6).  The first keyed call imports
+    numpy.random (12.5 ms, 6.1 MB), so until then only windows past 32 blocks, which kernels reread, go keyed."""
+    if "numpy.random" not in sys.modules:
+        return blocks <= 32
+    return 159 + 0.157 * rows * blocks < (2.14 + 0.018 * blocks) * rows
+
+
 def _window(n: int, master_seed: int, indices: np.ndarray, cursors: np.ndarray, width: int):
     """Lemire's values, and which are accepted, of halves [c, c + width) of each stream.
 
@@ -171,7 +175,7 @@ def _window(n: int, master_seed: int, indices: np.ndarray, cursors: np.ndarray, 
     same = (cursors == cursors[:1]).all()
     start = int(skip.max(initial=0))  # the one skip, when the cursors are equal
     blocks = -(-(start + width) // 8)
-    source = _philox_words if 8 * blocks <= _VECTOR_MAX_HALVES else _keyed_words
+    source = _philox_words if _vectorised_is_cheaper(len(indices), blocks) else _keyed_words
     words = source(master_seed, indices, first[:1] if same else first, blocks)
     halves = words.astype("<u8", copy=False).view("<u4")  # little-endian: low half first
     draws = halves[:, start : start + width]
@@ -255,9 +259,9 @@ def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, *extra,
     Trial i reads streams stride * i onwards, so the seed and the run's
     last stream, stride * trials - 1, are checked here, before any worker
     starts.  With jobs > 1 the range is split into contiguous parts run
-    in a process pool.  The parts' results (ints, Counters or arrays) add
-    with +, and each trial owns its streams, so the sum is the same for
-    any jobs value.
+    in a process pool.  The parts' results (ints, arrays or lists of
+    arrays) add with +, and each trial owns its streams, so the sum is the
+    same for any jobs value.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -308,44 +312,60 @@ class ConditionalBin(Record):
     flagged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "t_prev": self.t_prev,
-            "t_cur": self.t_cur,
-            "observations": self.observations,
-            "successes": self.successes,
-            "predicted": f"{self.predicted.numerator}/{self.predicted.denominator}",
-            "frequency": self.frequency,
-            "deviation_se": self.deviation_se,
-            "flagged": self.flagged,
-        }
+        keys, p = ("round", *self._fields[1:]), self.predicted  # the fields' names, round_index's as round
+        return {**dict(zip(keys, self._values())), "predicted": f"{p.numerator}/{p.denominator}"}
 
 
 class ConditionalReport(Record):
-    """Per-bin comparison of closure frequencies with their predictions."""
+    """Per-bin comparison of closure frequencies with their predictions: a tuple per ConditionalBin field,
+    in (i, T_{i-1}, T_i) order, the prediction as numerator and denominator in lowest terms."""
 
     n: int
     trials: int
     seed: int
     se_threshold: float
-    bins: tuple[ConditionalBin, ...]
+    round_index: tuple[int, ...]
+    t_prev: tuple[int, ...]
+    t_cur: tuple[int, ...]
+    observations: tuple[int, ...]
+    successes: tuple[int, ...]
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
+    frequency: tuple[float, ...]
+    deviation_se: tuple[float, ...]
+    flagged: tuple[bool, ...]
+
+    def bin_columns(self, predicted=Fraction) -> dict[str, Sequence]:
+        """ConditionalBin's fields as columns by JSON key, each prediction as predicted(numerator, denominator)."""
+        v = self._values()
+        return dict(zip(("round", *ConditionalBin._fields[1:]), (*v[4:9], [*map(predicted, *v[9:11])], *v[11:])))
+
+    @property
+    def bins(self) -> tuple[ConditionalBin, ...]:
+        return tuple(map(ConditionalBin, *self.bin_columns().values()))
+
+    def flagged_count(self, min_observations: int = 100) -> int:
+        return sum(f and obs >= min_observations for f, obs in zip(self.flagged, self.observations))
 
     def flagged_bins(self, min_observations: int = 100) -> list[ConditionalBin]:
-        return [
-            b for b in self.bins if b.flagged and b.observations >= min_observations
-        ]
+        return [b for b in self.bins if b.flagged and b.observations >= min_observations]
 
 
-def _round_event_tallies(tables: np.ndarray, tallies: Counter) -> Counter:
-    """Add the rounds of smallest-label exploration of 0-based tables to tallies.
+def _merged(tallies: list) -> list:
+    """[codes, counts] of [codes, counts, codes, counts, ...]: each code once, sorted, its counts summed."""
+    codes, at = np.unique(np.concatenate(tallies[::2]), return_inverse=True)
+    return [codes, np.bincount(at, np.concatenate(tallies[1::2])).astype(np.int64)]  # float64 counts: exact below 2**53
+
+
+def _round_event_tallies(tables: np.ndarray) -> list:
+    """[codes, counts]: the sorted round codes of smallest-label exploration of 0-based tables, and their counts.
 
     All rows reveal one new vertex per step, so they explore in lockstep.
     Round i ends at step T_i, on an explored vertex: a success in round 1
     on a self loop, later on a vertex of an earlier round.  The next round
     starts at the smallest unexplored label.  Each step codes the rounds
-    it ends, (i, T_{i-1}, T_i) in base n + 1 and a success bit, int64 for
-    n < 2**20; the codes are counted and added to tallies under
-    (i, T_{i-1}, T_i, success).
+    it ends as ((i (n + 1) + T_{i-1}) (n + 1) + T_i) 2 + success, an int64
+    for n <= 1664509, so code order is (i, T_{i-1}, T_i, success) order.
     """
     rows, n = tables.shape
     base = np.arange(rows) * n
@@ -364,19 +384,16 @@ def _round_event_tallies(tables: np.ndarray, tallies: Counter) -> Counter:
         t_end[e] = s
         v = w
         v[e] = base[e] + (step_of.reshape(rows, n)[e] == 0).argmax(axis=1)
-    keys, counts = np.unique(np.concatenate(codes), return_counts=True)
-    for code, count in zip(keys.tolist(), counts.tolist()):
-        rest, t = divmod(code >> 1, n + 1)
-        key = divmod(rest, n + 1) + (t, code & 1)
-        tallies[key] = tallies.get(key, 0) + count  # get: no Counter.__missing__ call per new key
-    return tallies
+    return list(np.unique(np.concatenate(codes), return_counts=True))
 
 
-def tally_round_events(n: int, master_seed: int, start: int, stop: int) -> Counter:
-    """Round counts over trials [start, stop), keyed (i, T_{i-1}, T_i, success)."""
-    tallies: Counter = Counter()
+def tally_round_events(n: int, master_seed: int, start: int, stop: int) -> list:
+    """_round_event_tallies' [codes, counts] over trials [start, stop), merged chunk by chunk."""
+    if 2 * (n + 1) ** 3 > 2**63:  # the largest code, 2 (n + 1)**3 - 2n - 3, would wrap
+        raise ValueError(f"n must be at most 1664509 for int64 round codes, got {n}")
+    tallies = []
     for streams in _stream_chunks(master_seed, start, stop, n):
-        _round_event_tallies(_bounded_draws(n, master_seed, streams, 0, n)[0], tallies)
+        tallies = _merged(tallies + _round_event_tallies(_bounded_draws(n, master_seed, streams, 0, n)[0]))
     return tallies
 
 
@@ -396,35 +413,21 @@ def check_round_conditionals(
     succeeds on a self loop, predicted at 1/T_1; later rounds succeed on
     attaching to earlier rounds, predicted at T_{i-1}/T_i.  A bin is
     flagged when its empirical frequency sits more than se_threshold
-    binomial standard errors from the prediction.
+    binomial standard errors from the prediction; numpy takes the scalar
+    formulas' correctly rounded steps, on counts exact in float64.
     """
-    tallies = run_trials(tally_round_events, n, master_seed, trials, jobs)
-    bins = []
-    for i, t_prev, t_cur in sorted({key[:3] for key in tallies}):
-        succ = tallies.get((i, t_prev, t_cur, 1), 0)
-        obs = tallies.get((i, t_prev, t_cur, 0), 0) + succ
-        predicted = Fraction(1, t_cur) if i == 1 else Fraction(t_prev, t_cur)
-        freq = succ / obs
-        p = float(predicted)
-        se = math.sqrt(p * (1 - p) / obs)
-        if se > 0:
-            deviation = abs(freq - p) / se
-        else:
-            deviation = 0.0 if freq == p else math.inf
-        bins.append(
-            ConditionalBin(
-                round_index=i,
-                t_prev=t_prev,
-                t_cur=t_cur,
-                observations=obs,
-                successes=succ,
-                predicted=predicted,
-                frequency=freq,
-                deviation_se=deviation,
-                flagged=deviation > se_threshold,
-            )
-        )
-    return ConditionalReport(n, trials, master_seed, se_threshold, tuple(bins))
+    codes, counts = _merged(run_trials(tally_round_events, n, master_seed, trials, jobs))
+    first = np.flatnonzero(np.diff(codes >> 1, prepend=-1))  # each bin's first code; a success follows a failure
+    obs, succ = np.add.reduceat(counts, first), np.add.reduceat(counts * (codes & 1), first)
+    rest, t_cur = np.divmod(codes[first] >> 1, n + 1)
+    i, t_prev = np.divmod(rest, n + 1)
+    num = np.where(i == 1, 1, t_prev)
+    p, freq = num / t_cur, succ / obs
+    se = np.sqrt(p * (1 - p) / obs)
+    deviation = np.divide(abs(freq - p), se, out=np.where(freq == p, 0.0, np.inf), where=se > 0)
+    g = np.gcd(num, t_cur)
+    columns = (i, t_prev, t_cur, obs, succ, num // g, t_cur // g, freq, deviation, deviation > se_threshold)
+    return ConditionalReport(n, trials, master_seed, se_threshold, *(tuple(c.tolist()) for c in columns))
 
 
 def _pool_tail(bins: Iterable[tuple], size) -> tuple[list[tuple], int]:

@@ -97,7 +97,8 @@ ENUMERATE = [
 # stdout recorded from the per-trial explore path that the lockstep kernel replaced
 CONDITIONALS = [
     case
-    for n, trials, seed in ((1, 300, 11), (2, 500, 12), (7, 2000, 13), (20, 2000, 14), (100, 1000, 15), (257, 300, 16))
+    for n, trials, seed in ((1, 300, 11), (2, 500, 12), (7, 2000, 13), (20, 2000, 14), (100, 1000, 15), (257, 300, 16),
+                            (1000, 10, 17))  # n = 1000: 1.2 MB of JSON, each bin seen at most a few times
     for case in _txt_and_json(f"check-conditionals --n {n} --trials {trials} --seed {seed}", f"check_conditionals_n{n}",
                               jobs=(1, 2))
 ]
@@ -217,6 +218,10 @@ STREAM_RANGE = [
     )
 ]
 
+# the round codes of check-conditionals are int64: an n past 1664509 would wrap them
+ROUND_CODES = Case(f"check-conditionals --n {2**21} --trials 1", code=2,
+                   stderr="error: n must be at most 1664509 for int64 round codes, got 2097152\n", jobs=(1, 2))
+
 # NaN and the infinities would print as JSON's invalid NaN and Infinity
 BAD_Z = [
     Case(f"verify-cayley --n 5 --trials 10 --z={z} --json", code=2,
@@ -225,8 +230,8 @@ BAD_Z = [
 ]
 
 # the package imports its layers lazily
-VERSION = Case("--version", stdout="cayleykit 0.7.1\n", banned=NO_NUMPY + tuple(f"cayleykit.{m}" for m in LAYERS))
-VERSION_CLI = Case("--version", stdout="cayleykit 0.7.1\n", banned=NO_NUMPY, entry="cayleykit.cli",
+VERSION = Case("--version", stdout="cayleykit 0.8.0\n", banned=NO_NUMPY + tuple(f"cayleykit.{m}" for m in LAYERS))
+VERSION_CLI = Case("--version", stdout="cayleykit 0.8.0\n", banned=NO_NUMPY, entry="cayleykit.cli",
                    name="cayleykit.cli --version")
 UNKNOWN = Case("frobnicate", code=2, stderr=_usage_error("argument command: invalid choice: 'frobnicate'"),
                banned=NO_NUMPY, entry="cayleykit.cli")
@@ -322,7 +327,7 @@ STRICT = [
 ]
 
 CASES = [*ENUMERATE, *CONDITIONALS, *VERIFY, *HEIGHTS, HEIGHTS_DEFAULT, *SAMPLERS, *STDIN, PIPE, *COUNTS, *STREAM_RANGE,
-         *BAD_Z, VERSION, VERSION_CLI, UNKNOWN, EXACT, *MALFORMED, *STRICT]
+         ROUND_CODES, *BAD_Z, VERSION, VERSION_CLI, UNKNOWN, EXACT, *MALFORMED, *STRICT]
 
 
 def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:

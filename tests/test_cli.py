@@ -6,19 +6,20 @@ import re
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from replay import (
-    BAD_Z, CASES, CONDITIONALS, COUNTS, ENUMERATE, EXACT, GOLDEN, HEIGHTS, MALFORMED, PIPE, SAMPLERS, STDIN,
-    STREAM_RANGE, STRICT, UNKNOWN, VERIFY, VERSION, VERSION_CLI, fresh_python, replay, run_main,
+    BAD_Z, CASES, CONDITIONALS, COUNTS, ENUMERATE, EXACT, GOLDEN, HEIGHTS, MALFORMED, PIPE, ROUND_CODES, SAMPLERS,
+    STDIN, STREAM_RANGE, STRICT, UNKNOWN, VERIFY, VERSION, VERSION_CLI, fresh_python, replay, run_main,
 )
 
 from cayleykit import (
     Histogram, Mapping, PruferSequence, RngStream, RootedTree, conditional_event_probabilities, estimate_unique_cyclic,
     joyal_encode, prufer_decode, sample_collision_count, sample_rooted_tree_prufer, two_sample_chi_square,
 )
-from cayleykit import cli
+from cayleykit import cli, montecarlo
 from cayleykit.montecarlo import run_trials
 
 
@@ -114,6 +115,12 @@ def test_a_trial_count_past_the_stream_range_exits_2(monkeypatch, case, jobs):
     for worker in ("montecarlo.count_unique_cyclic", "montecarlo.tally_round_events", "heights.tally_law_histograms"):
         monkeypatch.setattr(f"cayleykit.{worker}", _no_worker)
     replay(case, jobs)
+
+
+@pytest.mark.parametrize("jobs", ROUND_CODES.jobs)
+def test_an_n_past_the_int64_round_codes_exits_2_before_any_draw(monkeypatch, jobs):
+    monkeypatch.setattr("cayleykit.montecarlo._bounded_draws", _no_worker)
+    replay(ROUND_CODES, jobs)
 
 
 @pytest.mark.parametrize("argv", ["enumerate --n 6", "verify-cayley --n 5 --trials 10", "sample-function --n 70000"])
@@ -349,6 +356,46 @@ def test_the_json_writer_on_planted_values():
     for value in (flat, [flat, flat], [flat, [1, 2], (3,)], [[], {}], [{}, {"a": 1}], [[1], [2, [3]]], {1: {}},
                   {"a": [{"b": 1}, {"c": [2, {}]}], 2.5: (), None: {"x": None}, False: [[]]}, [], {}, (), "x", 1.5):
         assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+_WRITER_KEY_TEXT = st.one_of(st.text(), st.sampled_from(["{", "}", "{}", "{0}", "{{", '"', "\n"]))
+
+
+@given(st.integers(1, 4).flatmap(lambda rows: st.dictionaries(
+    _WRITER_KEY_TEXT, st.lists(_WRITER_SCALARS, min_size=rows, max_size=rows).map(tuple) | st.lists(
+        _WRITER_SCALARS, min_size=rows, max_size=rows), min_size=1, max_size=5)))
+@settings(max_examples=400, deadline=None)
+def test_the_json_rows_writer_writes_the_bytes_of_json_dumps(columns):
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    assert cli._json_rows(columns) == json.dumps(rows, indent=2)
+    doc = {"a": 1, "rows": lambda newline: cli._json_rows(columns, newline), "b": [2]}
+    assert cli._json_text(doc) == json.dumps({**doc, "rows": rows}, indent=2)
+
+
+def test_check_conditionals_prints_the_bin_table_of_planted_tallies(monkeypatch):
+    # T_1 = 1 with a miss (p = 1, so se 0 and deviation inf) and a prediction
+    # 6/8 that prints as 3/4, met exactly
+    codes = [((i * 9 + t_prev) * 9 + t_cur) * 2 + s for i, t_prev, t_cur, s in
+             ((1, 0, 1, 0), (1, 0, 1, 1), (1, 0, 2, 1), (2, 6, 8, 0), (2, 6, 8, 1))]
+    tallies = [np.array(codes), np.array([1, 4, 200, 60, 180])]
+    monkeypatch.setattr(montecarlo, "run_trials", lambda *args: tallies)
+    report = montecarlo.check_round_conditionals(8, 5, 3)
+    code, out, _ = run_main(["check-conditionals", "--n", "8", "--trials", "5", "--seed", "3", "--json"])
+    assert code == 1  # (1, 0, 2) sits 14 standard errors off with 200 observations
+    bins = [b.to_json_dict() for b in report.bins]
+    doc = {"n": 8, "trials": 5, "seed": 3, "se_threshold": 4.0, "bins": bins, "min_obs": 100, "passed": False}
+    assert out == json.dumps(doc, indent=2) + "\n"
+    doc = json.loads(out)
+    assert [b["deviation_se"] for b in doc["bins"]] == [math.inf, 14.142135623730951, 0.0]
+    assert '"deviation_se": Infinity' in out and doc["bins"][2]["predicted"] == "3/4"
+    code, out, _ = run_main(["check-conditionals", "--n", "8", "--trials", "5", "--seed", "3", "--min-obs", "6"])
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "    1      0      1        5    0.80000    1.00000      inf *",
+        "    1      0      2      200    1.00000    0.50000    14.14 *",
+        "    2      6      8      240    0.75000    0.75000     0.00 ",
+        "FAIL: 1 flagged bins with >= 6 observations",  # the bin of 5 is not counted
+    ]
 
 
 def test_prufer_cli_round_trip(tmp_path):

@@ -519,7 +519,7 @@ def test_law_equality_report_validates_n_first():
                 law_equality_report(n, 10, SEED, method=method)
 
 
-@pytest.mark.parametrize("n", [5, 300])  # windows on the vectorised Philox, then on numpy's
+@pytest.mark.parametrize("n", [5, 300])  # windows of a few blocks, and past 256 halves
 def test_tally_law_histograms_rejects_an_unknown_method_before_any_trial(monkeypatch, n):
     def no_trial(*args):
         raise AssertionError("a sampler ran")

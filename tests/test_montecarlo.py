@@ -1,5 +1,10 @@
+import importlib
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +29,7 @@ from cayleykit import (
 )
 from cayleykit import core, montecarlo
 from cayleykit.exploration import Closure, SmallestLabel, explore
-from cayleykit.montecarlo import count_unique_cyclic, tally_round_events
+from cayleykit.montecarlo import ConditionalBin, count_unique_cyclic, tally_round_events
 
 SEED = 90125
 
@@ -110,14 +115,14 @@ def test_draw_tables_falls_back_on_lemire_rejections():
 
 def test_vectorised_draws_at_large_n(monkeypatch):
     # at n = 50000 about one row in five rejects; numpy's Philox re-keyed
-    # per row and, with _VECTOR_MAX_HALVES raised to n, the vectorised
-    # Philox both give its bits
+    # per row and, chosen whatever its cost, the vectorised Philox both
+    # give its bits
     n, start, stop = 50_000, 0, 60
     hits = _rejecting(n, SEED, start, stop)
     assert 0 < len(hits) < stop - start
     want = _scalar_tables(n, SEED, start, stop)
     assert np.array_equal(draw_tables(n, SEED, start, stop), want)
-    monkeypatch.setattr(montecarlo, "_VECTOR_MAX_HALVES", n)
+    monkeypatch.setattr(montecarlo, "_vectorised_is_cheaper", lambda rows, blocks: True)
     assert np.array_equal(draw_tables(n, SEED, start, stop), want)
 
 
@@ -142,20 +147,53 @@ def _integers_from(seed, stream, cursor, n, size):
 
 @pytest.mark.parametrize("n", [100, 3 * 2**30])
 @pytest.mark.parametrize("width", [5, 100, 300])
-def test_window_reads_every_skip_like_integers(n, width):
+def test_window_reads_every_skip_like_integers(monkeypatch, n, width):
     # each skip c mod 8 twice, from blocks 0 to 80, and one cursor for
-    # all; windows of 100 halves or less come from the vectorised Philox,
-    # of 300 from numpy's re-keyed per row.  No half is rejected at
-    # n = 100 (2**32 mod n = 96), about a quarter at 3 * 2**30, where the
-    # accepted values must be what integers() gives from the cursor on
-    seed, indices = SEED, np.arange(16, dtype=np.uint64) * 7 + 2**63
+    # all, on 16 rows and on those 16 cursors 20 times over.  Windows of
+    # 5 halves come from numpy's Philox re-keyed per row on 16 rows and
+    # from the vectorised Philox on 320, wider ones from the former.  No
+    # half is rejected at n = 100 (2**32 mod n = 96), about a quarter at
+    # 3 * 2**30, where the accepted values must be what integers() gives
+    # from the cursor on.  numpy.random is loaded, as after a first keyed read
+    importlib.import_module("numpy.random")
+    sources = []
+    for name in ("_philox_words", "_keyed_words"):
+        source = getattr(montecarlo, name)
+        def spy(*args, name=name, source=source):
+            sources.append(name)
+            return source(*args)
+        monkeypatch.setattr(montecarlo, name, spy)
     every_skip_twice = np.array([0, 1, 2, 3, 4, 5, 6, 7, 9, 18, 27, 36, 45, 54, 63, 640])
-    for cursors in (every_skip_twice, np.full(16, 13)):
-        values, kept = montecarlo._window(n, seed, indices, cursors, width)
-        assert values.shape == kept.shape == (16, width)
-        assert kept.all() == (n == 100)
-        for i, c, row, ok in zip(indices.tolist(), cursors.tolist(), values, kept):
-            assert row[ok].tolist() == _integers_from(seed, i, c, n, int(ok.sum()))
+    for copies in (1, 20):
+        seed, indices = SEED, np.arange(16 * copies, dtype=np.uint64) * 7 + 2**63
+        for cursors in (np.tile(every_skip_twice, copies), np.full(16 * copies, 13)):
+            values, kept = montecarlo._window(n, seed, indices, cursors, width)
+            assert values.shape == kept.shape == (16 * copies, width)
+            assert kept.all() == (n == 100)
+            for i, c, row, ok in zip(indices.tolist(), cursors.tolist(), values, kept):
+                assert row[ok].tolist() == _integers_from(seed, i, c, n, int(ok.sum()))
+    vectorised = ["_philox_words"] * 2 if width == 5 else ["_keyed_words"] * 2
+    assert sources == ["_keyed_words"] * 2 + vectorised
+
+
+def test_verify_chunks_stay_on_the_vectorised_philox():
+    # verify-cayley --n 100 reads chunks of 655 streams, 13 blocks from cursor 0
+    importlib.import_module("numpy.random")  # loaded: the costs decide
+    assert montecarlo._vectorised_is_cheaper(655, 13)
+    assert not montecarlo._vectorised_is_cheaper(16, 1)
+    # a process that has not loaded numpy.random reads every window of up
+    # to 32 blocks vectorised, so verify-cayley never pays its import
+    code = (
+        "import sys; import numpy as np; from cayleykit import montecarlo as m\n"
+        "m._window(100, 7, np.arange(3, dtype=np.uint64), np.arange(3), 5)\n"
+        "assert m.count_unique_cyclic(100, 7, 0, 1) + m.count_unique_cyclic(100, 7, 0, 700) >= 0\n"
+        "assert 'numpy.random' not in sys.modules, 'loaded'\n"
+        "m._window(100, 7, np.arange(3, dtype=np.uint64), np.arange(3), 257)\n"
+        "assert 'numpy.random' in sys.modules, 'not loaded'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(pathlib.Path(montecarlo.__file__).parents[1])))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_draw_tables_validation():
@@ -241,7 +279,7 @@ def test_batched_counter_across_chunk_boundaries(monkeypatch):
 def test_tally_round_events_matches_per_trial_path():
     n, start, stop = 7, 1500, 2700
     tables = [[x - 1 for x in sample_mapping(n, RngStream(SEED, i)).table] for i in range(start, stop)]
-    assert tally_round_events(n, SEED, start, stop) == _explore_tallies(tables)
+    assert _decoded(tally_round_events(n, SEED, start, stop), n) == _explore_tallies(tables)
 
 
 def _explore_tallies(tables):
@@ -257,19 +295,30 @@ def _explore_tallies(tables):
     return tallies
 
 
+def _decoded(tallies, n):
+    """[codes, counts] as a Counter keyed (i, T_{i-1}, T_i, success), one code at a time;
+    its codes must be distinct and sorted, and its counts positive."""
+    codes, counts = (column.tolist() for column in tallies)
+    assert codes == sorted(set(codes)) and all(c > 0 for c in counts)
+    out = Counter()
+    for code, count in zip(codes, counts):
+        rest, t = divmod(code >> 1, n + 1)
+        out[(*divmod(rest, n + 1), t, code & 1)] = count
+    return out
+
+
 def _kernel_tallies(tables):
-    return montecarlo._round_event_tallies(np.asarray(tables, dtype=np.int64), Counter())
+    tables = np.asarray(tables, dtype=np.int64)
+    return _decoded(montecarlo._round_event_tallies(tables), tables.shape[1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_round_event_kernel_matches_explore_on_every_table(n):
     tables = np.array(list(itertools.product(range(n), repeat=n)))
     assert _kernel_tallies(tables) == _explore_tallies(tables)
-    # batches of uneven sizes fold into one Counter
-    tallies = Counter()
-    for lo in range(0, len(tables), 7):
-        montecarlo._round_event_tallies(tables[lo : lo + 7], tallies)
-    assert tallies == _explore_tallies(tables)
+    # batches of uneven sizes add with + and merge into one tally
+    tallies = sum((montecarlo._round_event_tallies(tables[lo : lo + 7]) for lo in range(0, len(tables), 7)), [])
+    assert _decoded(montecarlo._merged(tallies), n) == _explore_tallies(tables)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 255, 256])
@@ -302,10 +351,90 @@ def test_round_event_kernel_on_planted_tables(n):
     ],
 )
 def test_round_event_kernel_matches_explore_on_random_ranges(n, start, stop):
-    tables = [
-        RngStream(SEED, i).generator().integers(0, n, size=n) for i in range(start, stop)
-    ]
-    assert tally_round_events(n, SEED, start, stop) == _explore_tallies(tables)
+    tables = _per_trial_tables(n, start, stop)
+    assert _decoded(tally_round_events(n, SEED, start, stop), n) == _explore_tallies(tables)
+
+
+def _per_trial_tables(n, start, stop):
+    return [RngStream(SEED, i).generator().integers(0, n, size=n) for i in range(start, stop)]
+
+
+def test_round_tallies_merge_by_code():
+    a = [np.array([3, 8, 9]), np.array([1, 2, 3])]
+    b = [np.array([2, 8, 40]), np.array([5, 7, 1])]
+    for parts in (a + b, b + a, a + b + a):
+        codes, counts = montecarlo._merged(parts)
+        assert codes.tolist() == [2, 3, 8, 9, 40] and counts.dtype == np.int64
+        assert counts.tolist() == ([5, 2, 11, 6, 1] if len(parts) == 6 else [5, 1, 9, 3, 1])
+    assert [c.tolist() for c in montecarlo._merged(a)] == [[3, 8, 9], [1, 2, 3]]
+    assert tally_round_events(7, SEED, 10, 10) == []
+
+
+def _oracle_bins(tallies, se_threshold=4.0):
+    """ConditionalBins of round counts keyed (i, T_{i-1}, T_i, success), one bin at a time in Fractions."""
+    bins = []
+    for i, t_prev, t_cur in sorted({key[:3] for key in tallies}):
+        succ = tallies.get((i, t_prev, t_cur, 1), 0)
+        obs = tallies.get((i, t_prev, t_cur, 0), 0) + succ
+        predicted = Fraction(1, t_cur) if i == 1 else Fraction(t_prev, t_cur)
+        freq = succ / obs
+        p = float(predicted)
+        se = math.sqrt(p * (1 - p) / obs)
+        if se > 0:
+            deviation = abs(freq - p) / se
+        else:
+            deviation = 0.0 if freq == p else math.inf
+        bins.append(ConditionalBin(i, t_prev, t_cur, obs, succ, predicted, freq, deviation, deviation > se_threshold))
+    return tuple(bins)
+
+
+def _assert_report_matches_oracle(report, tallies):
+    """Every column of report equals the oracle's bins, the prediction in lowest terms."""
+    oracle = _oracle_bins(tallies, report.se_threshold)
+    assert report.bins == oracle
+    assert report.numerator == tuple(b.predicted.numerator for b in oracle)
+    assert report.denominator == tuple(b.predicted.denominator for b in oracle)
+    columns = report.bin_columns("{}/{}".format)
+    assert [dict(zip(columns, row)) for row in zip(*columns.values())] == [b.to_json_dict() for b in oracle]
+    for column in ("frequency", "deviation_se"):  # the very floats, printed
+        assert [*map(repr, getattr(report, column))] == [repr(getattr(b, column)) for b in oracle]
+
+
+@pytest.mark.parametrize("n, trials", [(1, 50), (2, 3000), (7, 2000), (20, 2000), (257, 100)])
+def test_bin_table_matches_the_per_bin_oracle(n, trials):
+    report = check_round_conditionals(n, trials, SEED)
+    _assert_report_matches_oracle(report, _explore_tallies(_per_trial_tables(n, 0, trials)))
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_merged_bin_table_matches_the_per_bin_oracle(jobs):
+    report = check_round_conditionals(7, 3001, SEED, jobs=jobs)
+    _assert_report_matches_oracle(report, _explore_tallies(_per_trial_tables(7, 0, 3001)))
+
+
+#: Round counts keyed (i, T_{i-1}, T_i, success) that no mapping gives together:
+#: T_1 = 1 with p = 1 closed every time (se 0, deviation 0.0) and with a miss
+#: (se 0, deviation inf), and 6/8, which reduces to 3/4.
+PLANTED = Counter({(1, 0, 1, 1): 4, (1, 0, 1, 0): 1, (1, 0, 2, 1): 3, (2, 1, 2, 0): 2, (2, 6, 8, 1): 5,
+                   (2, 6, 8, 0): 2, (3, 2, 3, 1): 9})
+
+
+def _coded(tallies, n):
+    codes = sorted(((i * (n + 1) + t_prev) * (n + 1) + t_cur) * 2 + s for i, t_prev, t_cur, s in tallies)
+    keys = {((i * (n + 1) + t_prev) * (n + 1) + t_cur) * 2 + s: c for (i, t_prev, t_cur, s), c in tallies.items()}
+    return [np.array(codes), np.array([keys[c] for c in codes])]
+
+
+@pytest.mark.parametrize("tallies", [PLANTED, Counter({(1, 0, 1, 1): 4}), Counter({(1, 0, 1, 0): 4})])
+def test_bin_table_on_planted_tallies(monkeypatch, tallies):
+    monkeypatch.setattr(montecarlo, "run_trials", lambda *args: _coded(tallies, 8))
+    report = check_round_conditionals(8, 5, SEED)
+    _assert_report_matches_oracle(report, tallies)
+    by_key = {b[:3]: b for b in zip(report.round_index, report.t_prev, report.t_cur, report.deviation_se)}
+    if (1, 0, 1) in by_key:  # se 0: 0.0 when every round closed, else inf
+        assert by_key[1, 0, 1][3] == (0.0 if tallies[1, 0, 1, 0] == 0 else math.inf)
+    if (2, 6, 8) in by_key:
+        assert report.bin_columns("{}/{}".format)["predicted"][report.t_cur.index(8)] == "3/4"
 
 
 def _scalar_mask(tables):

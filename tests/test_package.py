@@ -106,7 +106,7 @@ def test_star_import_binds_the_home_modules_objects():
     homes = [importlib.import_module(f"cayleykit.{layer}") for layer in LAYERS]
     for name in PUBLIC_NAMES:
         if name == "__version__":
-            assert namespace[name] == "0.7.1"
+            assert namespace[name] == "0.8.0"
             continue
         assert any(vars(home).get(name) is namespace[name] for home in homes), name
 

@@ -37,6 +37,15 @@ BIN_REPR = (
     "ConditionalBin(round_index=1, t_prev=0, t_cur=2, observations=10, successes=4, "
     "predicted=Fraction(1, 2), frequency=0.4, deviation_se=-0.63, flagged=False)"
 )
+# one column per ConditionalBin field since 0.8.0, BIN's values in each
+REPORT_FIELDS = dict(n=7, trials=100, seed=3, se_threshold=3.0, round_index=(1,), t_prev=(0,), t_cur=(2,),
+                     observations=(10,), successes=(4,), numerator=(1,), denominator=(2,), frequency=(0.4,),
+                     deviation_se=(-0.63,), flagged=(False,))
+REPORT_REPR = (
+    "ConditionalReport(n=7, trials=100, seed=3, se_threshold=3.0, round_index=(1,), t_prev=(0,), t_cur=(2,), "
+    "observations=(10,), successes=(4,), numerator=(1,), denominator=(2,), frequency=(0.4,), "
+    "deviation_se=(-0.63,), flagged=(False,))"
+)
 
 # (class, fields in declaration order with values, repr the dataclass printed)
 CASES = [
@@ -89,11 +98,7 @@ CASES = [
              predicted=Fraction(1, 2), frequency=0.4, deviation_se=-0.63, flagged=False),
         BIN_REPR,
     ),
-    (
-        ConditionalReport,
-        dict(n=7, trials=100, seed=3, se_threshold=3.0, bins=(BIN,)),
-        f"ConditionalReport(n=7, trials=100, seed=3, se_threshold=3.0, bins=({BIN_REPR},))",
-    ),
+    (ConditionalReport, REPORT_FIELDS, REPORT_REPR),
 ]
 
 case_ids = [cls.__name__ for cls, _, _ in CASES]
@@ -247,4 +252,14 @@ def test_flat_json_dicts_keep_the_field_order():
     ]
     assert list(CHECK.to_json_dict().items()) == [
         ("label", "height"), ("statistic", 1.5), ("df", 2), ("critical", 5.991464547107979), ("passed", True),
+    ]
+
+
+def test_the_conditional_report_builds_its_bins_on_request():
+    report = ConditionalReport(**REPORT_FIELDS)
+    assert report.bins == (BIN,)
+    assert report.to_json_dict() == {f: list(v) if isinstance(v, tuple) else v for f, v in REPORT_FIELDS.items()}
+    assert list(BIN.to_json_dict().items()) == [
+        ("round", 1), ("t_prev", 0), ("t_cur", 2), ("observations", 10), ("successes", 4), ("predicted", "1/2"),
+        ("frequency", 0.4), ("deviation_se", -0.63), ("flagged", False),
     ]
