@@ -9,7 +9,7 @@ pays for numpy.
 
 import importlib
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 _HOMES = {
     "core": (
@@ -32,7 +32,6 @@ _HOMES = {
         "SmallestLabel",
         "conditional_event_probabilities",
         "explore",
-        "has_unique_cyclic_from_trace",
         "reconstruct_mapping",
         "telescoping_probability",
         "trace_to_dot",

@@ -179,7 +179,9 @@ def cmd_check_conditionals(args) -> int:
     r = check_round_conditionals(args.n, args.trials, args.seed, jobs=args.jobs)
     flagged = r.flagged_count(args.min_obs)
     if args.json:
-        bins = r.bin_columns("{}/{}".format)
+        bins = {"round": r.round_index, "t_prev": r.t_prev, "t_cur": r.t_cur, "observations": r.observations,
+                "successes": r.successes, "predicted": [*map("{}/{}".format, r.numerator, r.denominator)],
+                "frequency": r.frequency, "deviation_se": r.deviation_se, "flagged": r.flagged}
         _emit_json(args, {"n": args.n, "trials": args.trials, "seed": args.seed, "se_threshold": r.se_threshold,
                           "bins": lambda nl: _json_rows(bins, nl), "min_obs": args.min_obs, "passed": not flagged})
     else:

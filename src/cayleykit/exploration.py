@@ -150,18 +150,6 @@ def reconstruct_mapping(t: ExplorationTrace) -> Mapping:
     return Mapping(t.n, tuple(table))
 
 
-def has_unique_cyclic_from_trace(t: ExplorationTrace) -> bool:
-    """Trace-level criterion for a unique cyclic vertex.
-
-    True exactly when round 1 closes with a self loop and every later
-    round attaches to previously explored rounds; any in-round closure
-    (or a later self loop) creates an extra cycle.
-    """
-    if t.rounds[0].closure is not Closure.SELF_LOOP:
-        return False
-    return all(r.closure is Closure.PRIOR_ROUND for r in t.rounds[1:])
-
-
 def telescoping_probability(T: Sequence[int]) -> Fraction:
     """Evaluate (1/T_1) * prod_{i>=2} T_{i-1}/T_i in exact arithmetic.
 

@@ -351,22 +351,20 @@ def _critical_value(df: int, level: float) -> float:
     return 2 * x
 
 
+#: The level of law_equality_report's three chi-square checks.
+_LEVEL = 0.999
+
+
 def law_equality_report(
-    n: int,
-    trials: int,
-    master_seed: int,
-    *,
-    method: str = "prufer",
-    level: float = 0.999,
-    jobs: int = 1,
+    n: int, trials: int, master_seed: int, *, method: str = "prufer", jobs: int = 1
 ) -> LawEqualityReport:
     """Verify that 1+H matches the first-collision law, in distribution.
 
     Builds the two sampled histograms, tests each against the exact
     collision pmf and the pair against each other, and (for n small
     enough to enumerate) adds the exact rational identity between the
-    pmf of 1+H and the collision pmf.  All tests use the given
-    level's chi-square critical values.  A check whose mass pools into
+    pmf of 1+H and the collision pmf.  All tests use the chi-square
+    critical values at level _LEVEL.  A check whose mass pools into
     one bin has df 0 and critical value 0: nothing to test, so it passes.
     """
     from .enumeration import exact_collision_pmf, exact_height_pmf
@@ -376,7 +374,6 @@ def law_equality_report(
         raise ValueError(f"n must be >= 1, got {n}")
     if method not in _HEIGHT_KERNELS:
         raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
-    _critical_value(0, level)  # checks the level before any trial runs
     h_counts, c_counts = run_trials(tally_law_histograms, n, master_seed, trials, jobs, method, stride=2).tolist()
     hist_h = Histogram(1, tuple(h_counts), trials)
     hist_c = Histogram(1, tuple(c_counts), trials)
@@ -387,7 +384,7 @@ def law_equality_report(
         ("collision vs exact collision pmf", chi_square_statistic(hist_c, pmf)),
         (f"height_plus_one[{method}] vs collision (two-sample)", two_sample_chi_square(hist_h, hist_c)),
     ):
-        crit = _critical_value(df, level)
+        crit = _critical_value(df, _LEVEL)
         checks.append(ChiSquareCheck(label, stat, df, crit, df == 0 or stat <= crit))  # df 0: nothing to test
     exact_equal = None
     if n <= 6:  # larger n would cost a full n^n enumeration

@@ -37,3 +37,11 @@ class FixedOrder:
 def cycle_count(trace):
     """The cycles a trace sees: its rounds that close on a self loop or on their own path."""
     return sum(r.closure is not Closure.PRIOR_ROUND for r in trace.rounds)
+
+
+def has_unique_cyclic_from_trace(trace):
+    """Whether a trace sees a unique cyclic vertex: round 1 closes on a self loop and every later round
+    attaches to earlier rounds; any in-round closure (or a later self loop) makes another cycle."""
+    if trace.rounds[0].closure is not Closure.SELF_LOOP:
+        return False
+    return all(r.closure is Closure.PRIOR_ROUND for r in trace.rounds[1:])

@@ -230,8 +230,8 @@ BAD_Z = [
 ]
 
 # the package imports its layers lazily
-VERSION = Case("--version", stdout="cayleykit 0.8.0\n", banned=NO_NUMPY + tuple(f"cayleykit.{m}" for m in LAYERS))
-VERSION_CLI = Case("--version", stdout="cayleykit 0.8.0\n", banned=NO_NUMPY, entry="cayleykit.cli",
+VERSION = Case("--version", stdout="cayleykit 0.9.0\n", banned=NO_NUMPY + tuple(f"cayleykit.{m}" for m in LAYERS))
+VERSION_CLI = Case("--version", stdout="cayleykit 0.9.0\n", banned=NO_NUMPY, entry="cayleykit.cli",
                    name="cayleykit.cli --version")
 UNKNOWN = Case("frobnicate", code=2, stderr=_usage_error("argument command: invalid choice: 'frobnicate'"),
                banned=NO_NUMPY, entry="cayleykit.cli")

@@ -382,7 +382,11 @@ def test_check_conditionals_prints_the_bin_table_of_planted_tallies(monkeypatch)
     report = montecarlo.check_round_conditionals(8, 5, 3)
     code, out, _ = run_main(["check-conditionals", "--n", "8", "--trials", "5", "--seed", "3", "--json"])
     assert code == 1  # (1, 0, 2) sits 14 standard errors off with 200 observations
-    bins = [b.to_json_dict() for b in report.bins]
+    keys = ("round", "t_prev", "t_cur", "observations", "successes", "predicted", "frequency", "deviation_se", "flagged")
+    columns = (report.round_index, report.t_prev, report.t_cur, report.observations, report.successes,
+               map("{}/{}".format, report.numerator, report.denominator), report.frequency, report.deviation_se,
+               report.flagged)
+    bins = [dict(zip(keys, row)) for row in zip(*columns)]
     doc = {"n": 8, "trials": 5, "seed": 3, "se_threshold": 4.0, "bins": bins, "min_obs": 100, "passed": False}
     assert out == json.dumps(doc, indent=2) + "\n"
     doc = json.loads(out)

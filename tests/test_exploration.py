@@ -12,14 +12,13 @@ from cayleykit import (
     conditional_event_probabilities,
     cycle_structure,
     explore,
-    has_unique_cyclic_from_trace,
     reconstruct_mapping,
     telescoping_probability,
     trace_to_dot,
     unique_cyclic_vertex,
 )
 
-from conftest import FixedOrder, all_mappings, cycle_count
+from conftest import FixedOrder, all_mappings, cycle_count, has_unique_cyclic_from_trace
 
 
 mappings_st = st.integers(1, 40).flatmap(

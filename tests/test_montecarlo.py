@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +29,7 @@ from cayleykit import (
 )
 from cayleykit import core, montecarlo
 from cayleykit.exploration import Closure, SmallestLabel, explore
-from cayleykit.montecarlo import ConditionalBin, count_unique_cyclic, tally_round_events
+from cayleykit.montecarlo import count_unique_cyclic, tally_round_events
 
 SEED = 90125
 
@@ -370,8 +370,12 @@ def test_round_tallies_merge_by_code():
     assert tally_round_events(7, SEED, 10, 10) == []
 
 
+#: One row of the bin table, as the report's columns give it
+Bin = namedtuple("Bin", "round_index t_prev t_cur observations successes predicted frequency deviation_se flagged")
+
+
 def _oracle_bins(tallies, se_threshold=4.0):
-    """ConditionalBins of round counts keyed (i, T_{i-1}, T_i, success), one bin at a time in Fractions."""
+    """Bins of round counts keyed (i, T_{i-1}, T_i, success), one bin at a time in Fractions."""
     bins = []
     for i, t_prev, t_cur in sorted({key[:3] for key in tallies}):
         succ = tallies.get((i, t_prev, t_cur, 1), 0)
@@ -384,18 +388,23 @@ def _oracle_bins(tallies, se_threshold=4.0):
             deviation = abs(freq - p) / se
         else:
             deviation = 0.0 if freq == p else math.inf
-        bins.append(ConditionalBin(i, t_prev, t_cur, obs, succ, predicted, freq, deviation, deviation > se_threshold))
-    return tuple(bins)
+        bins.append(Bin(i, t_prev, t_cur, obs, succ, predicted, freq, deviation, deviation > se_threshold))
+    return bins
+
+
+def _bins(report):
+    """The report's rows, each prediction a Fraction."""
+    predicted = map(Fraction, report.numerator, report.denominator)
+    return list(map(Bin, report.round_index, report.t_prev, report.t_cur, report.observations, report.successes,
+                    predicted, report.frequency, report.deviation_se, report.flagged))
 
 
 def _assert_report_matches_oracle(report, tallies):
     """Every column of report equals the oracle's bins, the prediction in lowest terms."""
     oracle = _oracle_bins(tallies, report.se_threshold)
-    assert report.bins == oracle
+    assert _bins(report) == oracle
     assert report.numerator == tuple(b.predicted.numerator for b in oracle)
     assert report.denominator == tuple(b.predicted.denominator for b in oracle)
-    columns = report.bin_columns("{}/{}".format)
-    assert [dict(zip(columns, row)) for row in zip(*columns.values())] == [b.to_json_dict() for b in oracle]
     for column in ("frequency", "deviation_se"):  # the very floats, printed
         assert [*map(repr, getattr(report, column))] == [repr(getattr(b, column)) for b in oracle]
 
@@ -434,7 +443,8 @@ def test_bin_table_on_planted_tallies(monkeypatch, tallies):
     if (1, 0, 1) in by_key:  # se 0: 0.0 when every round closed, else inf
         assert by_key[1, 0, 1][3] == (0.0 if tallies[1, 0, 1, 0] == 0 else math.inf)
     if (2, 6, 8) in by_key:
-        assert report.bin_columns("{}/{}".format)["predicted"][report.t_cur.index(8)] == "3/4"
+        k = report.t_cur.index(8)
+        assert (report.numerator[k], report.denominator[k]) == (3, 4)
 
 
 def _scalar_mask(tables):
@@ -686,21 +696,21 @@ def test_two_sample_chi_square_identical_histograms():
 
 def test_check_round_conditionals_trivial_n1():
     report = check_round_conditionals(1, 50, SEED)
-    assert len(report.bins) == 1
-    b = report.bins[0]
+    assert len(report.round_index) == 1
+    b = _bins(report)[0]
     assert (b.round_index, b.t_prev, b.t_cur) == (1, 0, 1)
     assert b.frequency == 1.0 and b.predicted == 1
-    assert not report.flagged_bins(1)
+    assert report.flagged_count(1) == 0
 
 
 def test_check_round_conditionals_n2_bins():
     report = check_round_conditionals(2, 50_000, SEED)
-    by_key = {(b.round_index, b.t_prev, b.t_cur): b for b in report.bins}
+    by_key = {(b.round_index, b.t_prev, b.t_cur): b for b in _bins(report)}
     assert by_key[(1, 0, 1)].predicted == 1
     assert by_key[(1, 0, 1)].frequency == 1.0
     assert by_key[(1, 0, 2)].predicted == Fraction(1, 2)
     assert by_key[(2, 1, 2)].predicted == Fraction(1, 2)
-    assert not report.flagged_bins(100)
+    assert report.flagged_count(100) == 0
 
 
 def test_check_round_conditionals_parallel_matches_sequential():

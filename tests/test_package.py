@@ -15,8 +15,9 @@ DEMOS = ROOT / "demos"
 
 # the public names of 0.3.0, when the package imported every module eagerly,
 # less the four that 0.4.0 removed (HeightSample, iterate,
-# sample_height_plus_one, tree_edges) and the three that 0.7.0 removed
-# (FixedOrder, SelectionStrategy, cycle_count_from_trace)
+# sample_height_plus_one, tree_edges), the three that 0.7.0 removed
+# (FixedOrder, SelectionStrategy, cycle_count_from_trace) and the one that
+# 0.9.0 removed (has_unique_cyclic_from_trace)
 PUBLIC_NAMES = [
     "Closure", "CycleStructure", "DoublyRootedTree", "Estimate", "ExactCounts",
     "ExplorationTrace", "Histogram", "LawEqualityReport",
@@ -25,7 +26,7 @@ PUBLIC_NAMES = [
     "check_round_conditionals", "chi_square_statistic", "conditional_event_probabilities",
     "cycle_structure", "estimate_unique_cyclic",
     "exact_collision_pmf", "exact_counts", "exact_height_pmf", "explore",
-    "has_unique_cyclic_from_trace", "joyal_decode", "joyal_encode",
+    "joyal_decode", "joyal_encode",
     "law_equality_report", "make_estimate", "mapping_to_dot", "mapping_to_rooted_tree",
     "prufer_decode", "prufer_encode", "reconstruct_mapping", "rooted_tree_to_mapping",
     "sample_collision_count", "sample_mapping",
@@ -106,7 +107,7 @@ def test_star_import_binds_the_home_modules_objects():
     homes = [importlib.import_module(f"cayleykit.{layer}") for layer in LAYERS]
     for name in PUBLIC_NAMES:
         if name == "__version__":
-            assert namespace[name] == "0.8.0"
+            assert namespace[name] == "0.9.0"
             continue
         assert any(vars(home).get(name) is namespace[name] for home in homes), name
 
@@ -130,6 +131,23 @@ def test_every_name_perfbench_imports_resolves():
         if not hasattr(importlib.import_module(node.module), alias.name)
     ]
     assert missing == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # surface that only the tests use belongs in the tests: a use is a loaded name, an attribute or an
+    # imported alias in the library (less __init__.py), the demos or the benchmark; a def or class is not one
+    package = pathlib.Path(cayleykit.__file__).resolve().parent
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted(DEMOS.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for node in (node for path in sources for node in ast.walk(ast.parse(path.read_text()))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    assert [name for name in cayleykit.__all__ if name not in used and name != "__version__"] == []
 
 
 def test_unknown_attribute_raises_attribute_error():

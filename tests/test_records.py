@@ -20,7 +20,7 @@ from cayleykit.exploration import (
     SeededRandomOrder,
 )
 from cayleykit.heights import ChiSquareCheck, LawEqualityReport
-from cayleykit.montecarlo import ConditionalBin, ConditionalReport, Estimate, Histogram
+from cayleykit.montecarlo import ConditionalReport, Estimate, Histogram
 
 TREE = RootedTree(3, 3, (3, 3, 0))
 ROUND = RoundRecord(1, 1, (1, 2, 3), (3, 3), Closure.SELF_LOOP)
@@ -32,12 +32,7 @@ HIST = Histogram(1, (2, 3), 5)
 HIST_REPR = "Histogram(lo=1, counts=(2, 3), total=5)"
 CHECK = ChiSquareCheck("height", 1.5, 2, 5.991464547107979, True)
 CHECK_REPR = "ChiSquareCheck(label='height', statistic=1.5, df=2, critical=5.991464547107979, passed=True)"
-BIN = ConditionalBin(1, 0, 2, 10, 4, Fraction(1, 2), 0.4, -0.63, False)
-BIN_REPR = (
-    "ConditionalBin(round_index=1, t_prev=0, t_cur=2, observations=10, successes=4, "
-    "predicted=Fraction(1, 2), frequency=0.4, deviation_se=-0.63, flagged=False)"
-)
-# one column per ConditionalBin field since 0.8.0, BIN's values in each
+# one column per bin field since 0.8.0, the prediction as numerator and denominator
 REPORT_FIELDS = dict(n=7, trials=100, seed=3, se_threshold=3.0, round_index=(1,), t_prev=(0,), t_cur=(2,),
                      observations=(10,), successes=(4,), numerator=(1,), denominator=(2,), frequency=(0.4,),
                      deviation_se=(-0.63,), flagged=(False,))
@@ -92,12 +87,6 @@ CASES = [
         "Estimate(trials=100, successes=3, point=0.03, ci_low=0.01, ci_high=0.08, z=1.96)",
     ),
     (Histogram, dict(lo=1, counts=(2, 3), total=5), HIST_REPR),
-    (
-        ConditionalBin,
-        dict(round_index=1, t_prev=0, t_cur=2, observations=10, successes=4,
-             predicted=Fraction(1, 2), frequency=0.4, deviation_se=-0.63, flagged=False),
-        BIN_REPR,
-    ),
     (ConditionalReport, REPORT_FIELDS, REPORT_REPR),
 ]
 
@@ -112,7 +101,7 @@ def test_every_record_class_has_a_case():
         if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record
     }
     assert records == {cls for cls, _, _ in CASES}
-    assert len(CASES) == 16
+    assert len(CASES) == 15
 
 
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=case_ids)
@@ -255,11 +244,6 @@ def test_flat_json_dicts_keep_the_field_order():
     ]
 
 
-def test_the_conditional_report_builds_its_bins_on_request():
+def test_the_conditional_report_writes_its_columns():
     report = ConditionalReport(**REPORT_FIELDS)
-    assert report.bins == (BIN,)
     assert report.to_json_dict() == {f: list(v) if isinstance(v, tuple) else v for f, v in REPORT_FIELDS.items()}
-    assert list(BIN.to_json_dict().items()) == [
-        ("round", 1), ("t_prev", 0), ("t_cur", 2), ("observations", 10), ("successes", 4), ("predicted", "1/2"),
-        ("frequency", 0.4), ("deviation_se", -0.63), ("flagged", False),
-    ]
