@@ -3,9 +3,11 @@
 Every randomized subcommand takes an explicit seed (or the pinned
 default) and echoes it in its JSON output, so any run can be replayed
 byte for byte.  Exit status: 0 on success, 2 on input errors (a JSON
-document nested past the recursion limit among them), and 1 in
-three cases: a statistical verification failed (its report is on stdout),
-the rejection sampler hit its attempt cap (a broken random source), or
+document nested past the recursion limit among them) and on an output
+that cannot be written, on stdout or through ``--output`` (one line,
+``error: cannot write output: <reason>``), and 1 in three cases: a
+statistical verification failed (its report is on stdout), the
+rejection sampler hit its attempt cap (a broken random source), or
 numpy cannot be imported (each an ``error:`` line, nothing on stdout).
 Each command imports the layers it uses, so ``trace``, ``prufer``,
 ``joyal``, ``enumerate`` up to n = 5, ``sample-function`` and
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -54,45 +57,27 @@ def _read_json(path: str | None) -> dict:
 
 def _emit(args, text: str) -> None:
     out = getattr(args, "output", None)
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
+    to_stdout = out is None or out == "-"
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:  # a missing directory, a directory, no permission
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:  # a full device, a closed pipe, a missing directory, a directory, no permission
+        if to_stdout:  # the interpreter flushes stdout again at exit: let that write go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write output: {exc}") from exc
 
 
 _FLAT_JSON = json.JSONEncoder(separators=(",\n", ": ")).encode  # the C encoder, items split by ",\n"
 
 
-def _flat(value) -> bool:  # a nonempty container of json's scalars, their subclasses excepted
-    items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else ()
-    return bool(items) and {*map(type, items)} <= {str, int, float, bool, type(None)}
-
-
-def _json_text(value, newline: str = "\n") -> str:
-    """json.dumps(value, indent=2) at newline's indent, a callable value writing itself there; a flat container
-    is one C-encoder call: strings escape newlines, so each raw newline is a separator."""
-    inner = newline + "  "
-    if callable(value):
-        return value(newline)
-    if _flat(value):
-        text = _FLAT_JSON(value)
-        return text[0] + inner + text[1:-1].replace("\n", inner) + newline + text[-1]
-    if not isinstance(value, (dict, list, tuple)) or not value:  # a scalar or an empty container
-        return json.dumps(value)
-    if isinstance(value, dict):
-        keys = (json.dumps(k if isinstance(k, str) else json.dumps(k)) for k in value)  # converted as json does
-        parts = (key + ": " + _json_text(x, inner) for key, x in zip(keys, value.values()))
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    return "[" + inner + ("," + inner).join(_json_text(x, inner) for x in value) + newline + "]"
-
-
 def _json_rows(columns: dict, newline: str = "\n") -> str:
-    """_json_text of the dicts dict(zip(columns, row)) over the rows of columns' values, each a nonempty
-    sequence of json's scalars: one C-encoder call per column, split at its raw newlines, and one format per row."""
+    """json.dumps(rows, indent=2) at newline's indent, rows being the dicts dict(zip(columns, row)) over the rows
+    of columns' values, each a nonempty sequence of json's scalars: one C-encoder call per column, split at its
+    raw newlines (strings escape theirs), and one format per row."""
     inner = newline + "  "
     keys = (json.dumps(key).replace("{", "{{").replace("}", "}}") + ": {}" for key in columns)
     row = "{{" + inner + "  " + ("," + inner + "  ").join(keys) + inner + "}}"
@@ -101,7 +86,7 @@ def _json_rows(columns: dict, newline: str = "\n") -> str:
 
 
 def _emit_json(args, doc: dict) -> None:
-    _emit(args, _json_text(doc) + "\n")
+    _emit(args, json.dumps(doc, indent=2) + "\n")
 
 
 def _require_counts(args, *names: str) -> None:
@@ -182,8 +167,11 @@ def cmd_check_conditionals(args) -> int:
         bins = {"round": r.round_index, "t_prev": r.t_prev, "t_cur": r.t_cur, "observations": r.observations,
                 "successes": r.successes, "predicted": [*map("{}/{}".format, r.numerator, r.denominator)],
                 "frequency": r.frequency, "deviation_se": r.deviation_se, "flagged": r.flagged}
-        _emit_json(args, {"n": args.n, "trials": args.trials, "seed": args.seed, "se_threshold": r.se_threshold,
-                          "bins": lambda nl: _json_rows(bins, nl), "min_obs": args.min_obs, "passed": not flagged})
+        doc = {"n": args.n, "trials": args.trials, "seed": args.seed, "se_threshold": r.se_threshold,
+               "bins": None, "min_obs": args.min_obs, "passed": not flagged}
+        # every key before "bins" holds a number, so its null is the first
+        text = json.dumps(doc, indent=2).replace('"bins": null', '"bins": ' + _json_rows(bins, "\n  "), 1)
+        _emit(args, text + "\n")
     else:
         row = "{:>5} {:>6} {:>6} {:>8} {:>10.5f} {:>10.5f} {:>8.2f} {}\n".format
         p = map(int.__truediv__, r.numerator, r.denominator)
@@ -255,8 +243,7 @@ def cmd_prufer(args) -> int:
         _emit_json(args, prufer_encode(n, edges).to_json_dict())
     else:
         seq = PruferSequence.from_json_dict(doc)
-        edges = prufer_decode(seq)
-        _emit_json(args, {"n": seq.n, "edges": [list(e) for e in edges]})
+        _emit_json(args, {"n": seq.n, "edges": prufer_decode(seq)})
     return 0
 
 

@@ -80,16 +80,17 @@ def _working_arrays(size: int) -> list:
 
 
 def _table_stats(tables: np.ndarray, depths: bool = True, work: list | None = None):
-    """(num_cycles, num_cyclic, root, depth) for a batch of 0-based tables.
+    """(num_cycles, has_root, depth) for a batch of 0-based tables.
 
     Two passes of core._pointer_doubling.  Its g = f^(2^t), 2^t >= n,
     maps every vertex onto the cyclic set, so a vertex is cyclic exactly
     when it is in the image of g.  The first pass folds np.minimum over
     the flat indices: low(v) = min over k < 2^t of f^k(v), which on a
     cyclic vertex is its cycle's minimum, so each cycle is counted once,
-    at that minimum.  root is a row's unique cyclic vertex, or -1 when
-    it has several.  With depths, depth holds one row per table with a
-    root, in order: the second pass is core._root_depths of those tables.
+    at that minimum.  has_root marks the rows with a unique cyclic
+    vertex, their tree's root.  With depths, depth holds one row per
+    table with a root, in order: the second pass is core._root_depths of
+    those tables.
     work, from _working_arrays, lets a caller reuse the arrays across
     batches; depth is then a view of it, valid until its next use.
     """
@@ -106,11 +107,10 @@ def _table_stats(tables: np.ndarray, depths: bool = True, work: list | None = No
     num_cyclic = cyclic.reshape(m, n).view(np.uint8) @ ones
     num_cycles = (cyclic & (low == flat)).reshape(m, n).view(np.uint8) @ ones
     has_root = num_cyclic == 1
-    root = np.where(has_root, g[::n] - flat[::n], -1)
     depth = None
     if depths:
         depth = _root_depths(np.compress(has_root, tables, axis=0), values, doubling).reshape(-1, n)
-    return num_cycles, num_cyclic, root, depth
+    return num_cycles, has_root, depth
 
 
 #: Table columns filled by the suffix block of each chunk (n^4 rows).
@@ -162,9 +162,9 @@ def _array_counts(n: int) -> ExactCounts:
     total = unique_cyclic = 0
     work = _working_arrays(n ** min(n, _SUFFIX_COLUMNS) * n)
     for tables in _word_chunks(n, n, _SUFFIX_COLUMNS):
-        num_cycles, _, root, depth = _table_stats(tables, want_heights, work)
+        num_cycles, has_root, depth = _table_stats(tables, want_heights, work)
         total += len(tables)
-        unique_cyclic += int((root >= 0).sum())
+        unique_cyclic += int(has_root.sum())
         cycle_tally += np.bincount(num_cycles, minlength=n + 1)
         if want_heights:
             height_tally += np.bincount(depth.ravel(), minlength=n)

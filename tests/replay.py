@@ -346,12 +346,14 @@ def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def fresh_python(*args: str, stdin: bytes = b"", site: bool = True) -> subprocess.CompletedProcess:
-    """``python [-S] *args`` in a new interpreter that imports the package from SRC."""
+def fresh_python(*args: str, stdin: bytes = b"", site: bool = True,
+                 stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python [-S] *args`` in a new interpreter that imports the package from SRC; stdout is captured unless a
+    file is given."""
     with tempfile.TemporaryDirectory() as cwd:  # nothing on the path but SRC and the interpreter's own
         return subprocess.run(
-            [sys.executable, *([] if site else ["-S"]), *args], input=stdin, capture_output=True, cwd=cwd,
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            [sys.executable, *([] if site else ["-S"]), *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
 
 
