@@ -4,11 +4,12 @@ Every randomized subcommand takes an explicit seed (or the pinned
 default) and echoes it in its JSON output, so any run can be replayed
 byte for byte.  Exit status: 0 on success, 2 on input errors (a JSON
 document nested past the recursion limit among them) and on an output
-that cannot be written, on stdout or through ``--output`` (one line,
-``error: cannot write output: <reason>``), and 1 in three cases: a
-statistical verification failed (its report is on stdout), the
-rejection sampler hit its attempt cap (a broken random source), or
-numpy cannot be imported (each an ``error:`` line, nothing on stdout).
+that cannot be written, on stdout (``--help`` and ``--version`` too) or
+through ``--output`` (one line, ``error: cannot write output: <reason>``),
+and 1 in three cases: a statistical verification failed (its report is
+on stdout), the rejection sampler hit its attempt cap (a broken random
+source), or numpy cannot be imported (each an ``error:`` line, nothing
+on stdout).
 Each command imports the layers it uses, so ``trace``, ``prufer``,
 ``joyal``, ``enumerate`` up to n = 5, ``sample-function`` and
 ``sample-tree`` start without numpy (the samplers load it only for a
@@ -18,6 +19,7 @@ stream longer than 2**16 draws).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -56,19 +58,32 @@ def _read_json(path: str | None) -> dict:
 
 
 def _emit(args, text: str) -> None:
+    """text to args.output, or to stdout when args has none; a failed write raises ValueError."""
     out = getattr(args, "output", None)
     to_stdout = out is None or out == "-"
     try:
         if to_stdout:
+            if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:  # a full device, a closed pipe, a missing directory, a directory, no permission
-        if to_stdout:  # the interpreter flushes stdout again at exit: let that write go nowhere
+        if to_stdout and sys.stdout is not None:  # the interpreter flushes stdout again at exit: let that go nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write output: {exc}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # --help and --version: a failed write to stdout exits 2
+        if file is not sys.stdout:  # stderr: a usage error
+            return super()._print_message(message, file)
+        try:
+            _emit(None, message)
+        except ValueError as exc:
+            self.exit(2, f"error: {exc}\n")
 
 
 _FLAT_JSON = json.JSONEncoder(separators=(",\n", ": ")).encode  # the C encoder, items split by ",\n"
@@ -126,23 +141,13 @@ def cmd_verify_cayley(args) -> int:
     if not 0 < args.z < math.inf:  # wilson_interval's check, made before any trial runs
         raise ValueError(f"z must be finite and > 0, got {args.z}")
     from .montecarlo import estimate_unique_cyclic
-    est = estimate_unique_cyclic(
-        args.n, args.trials, args.seed, z=args.z, jobs=args.jobs
-    )
+    est = estimate_unique_cyclic(args.n, args.trials, args.seed, z=args.z, jobs=args.jobs)
     expected = 1.0 / args.n
     tolerance = 4.0 * math.sqrt(expected * (1.0 - expected) / args.trials)
     passed = abs(est.point - expected) <= tolerance
-    if args.json:
-        doc = {
-            "n": args.n,
-            "trials": args.trials,
-            "seed": args.seed,
-            "expected": expected,
-            "tolerance": tolerance,
-            "passed": passed,
-        }
-        doc.update(est.to_json_dict())
-        _emit_json(args, doc)
+    if args.json:  # est's own "trials" keeps its place after "n"
+        _emit_json(args, {"n": args.n, "trials": args.trials, "seed": args.seed, "expected": expected,
+                          "tolerance": tolerance, "passed": passed, **est.to_json_dict()})
     else:
         _emit(
             args,
@@ -198,13 +203,8 @@ def cmd_enumerate(args) -> int:
             + ", ".join(f"{k}:{v}" for k, v in sorted(counts.by_cycle_count.items())),
         ]
         if counts.height_pmf is not None:
-            lines.append(
-                "height pmf       = "
-                + ", ".join(
-                    f"P(H={h})={p.numerator}/{p.denominator}"
-                    for h, p in enumerate(counts.height_pmf)
-                )
-            )
+            pmf = (f"P(H={h})={p.numerator}/{p.denominator}" for h, p in enumerate(counts.height_pmf))
+            lines.append("height pmf       = " + ", ".join(pmf))
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -224,9 +224,7 @@ def cmd_sample_tree(args) -> int:
 def cmd_heights(args) -> int:
     _require_counts(args, "n", "trials", "jobs")
     from .heights import law_equality_report
-    report = law_equality_report(
-        args.n, args.trials, args.seed, method=args.method, jobs=args.jobs
-    )
+    report = law_equality_report(args.n, args.trials, args.seed, method=args.method, jobs=args.jobs)
     for check in report.checks:
         if check.df == 0:
             print(f"warning: {check.label}: all probability mass merged into one bin; df=0", file=sys.stderr)
@@ -262,7 +260,7 @@ def cmd_joyal(args) -> int:
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser of argv: only the subcommands it names get their arguments, with the full parser's bytes."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cayleykit",
         description=(
             "Random mappings, exploration traces, tree bijections, exact "

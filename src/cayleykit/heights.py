@@ -27,10 +27,6 @@ if TYPE_CHECKING:
 #: after n attempts on average, so hitting this means the RNG is broken.
 ATTEMPT_CAP_FACTOR = 10_000
 
-#: Largest n at which _prufer_heights decodes all words at once, O(n^2) per word, not
-#: each by prufer_parents; the two cross near n = 4000 (2-core x86-64 host).
-_ROWS_DECODE_MAX_N = 4000
-
 _EPS = 2.0**-53  # half the spacing of floats at 1
 _TINY = 1e-300  # stands in for a zero denominator in Lentz's method
 
@@ -140,10 +136,9 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     """The Prufer sampler's height on each stream.
 
     Draws [0, n-2) are the word, draw n-2 the root and draw n-1 the
-    vertex.  The words are decoded toward vertex n (0-based n-1): all at
-    once by prufer_parent_rows up to _ROWS_DECODE_MAX_N, one by one by
-    prufer_parents above.  The height is dist(root, vertex): the climb
-    from the vertex to the first ancestor of the root, plus that
+    vertex.  The words are decoded toward vertex n (0-based n-1), all at
+    once by prufer_parent_rows.  The height is dist(root, vertex): the
+    climb from the vertex to the first ancestor of the root, plus that
     ancestor's distance to the root.
     """
     import numpy as np
@@ -152,12 +147,8 @@ def _prufer_heights(n: int, master_seed: int, streams: np.ndarray) -> np.ndarray
     rows = montecarlo._bounded_draws(n, master_seed, streams, 0, n)[0]
     base = np.arange(len(rows)) * n
     word, root, vertex = rows[:, : n - 2], rows[:, n - 2], rows[:, n - 1]
-    if n <= _ROWS_DECODE_MAX_N:
-        parent = prufer_parent_rows(word, n)
-    else:  # 1-based parents, NO_PARENT (0) at n, lowered to prufer_parent_rows' labels
-        parent = np.array([prufer_parents(PruferSequence(n, w)) for w in (word + 1).tolist()]) - 1
-    parent += base[:, None]  # to flat indices base + label in place: a chunk's copy would raise the peak
-    parent[:, n - 1] = -1  # the root, n-1 in either decode
+    parent = prufer_parent_rows(word, n)  # -1 at the root, n-1
+    parent[:, : n - 1] += base[:, None]  # to flat indices base + label in place: a chunk's copy would raise the peak
     parent, up = parent.ravel(), np.full(parent.size, -1)  # up[base + a]: distance from root to its ancestor a
     a, d = base + root, 0
     while a.size:

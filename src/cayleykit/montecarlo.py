@@ -103,6 +103,11 @@ _S32 = np.uint64(32)
 #: 32-bit draws per chunk of trials in the batched consumers; bounds
 #: their working set for any n.
 _CHUNK_DRAWS = 1 << 16
+#: A chunk holds at least _CHUNK_ROWS trials while it stays within
+#: _CHUNK_DRAWS_CAP draws (1.5 MB of int64), so lockstep kernels share each
+#: numpy call among more rows at large n; a cap of 2**18 had the verify kernel
+#: fault its arrays in afresh each chunk, and verify-cayley --n 10000 29% slower.
+_CHUNK_ROWS, _CHUNK_DRAWS_CAP = 64, 3 << 16
 
 
 def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
@@ -229,14 +234,16 @@ def _bounded_draws(
 
 def _stream_chunks(master_seed: int, start: int, stop: int, draws_per_trial: int, stride: int = 1):
     """uint64 arrays of the streams stride * i of trials i in [start, stop),
-    each array of about _CHUNK_DRAWS draws.
+    each array of about _CHUNK_DRAWS draws, but of at least _CHUNK_ROWS
+    trials, or as many as _CHUNK_DRAWS_CAP draws hold.
 
     The seed and the range's last stream, stride * stop - 1, are checked
     first; a caller with stride 2 adds 0 or 1 to each array.
     """
     if stop > start:
         RngStream(master_seed, stride * stop - 1)
-    step = max(1, _CHUNK_DRAWS // max(draws_per_trial, 1))  # an n below 1 reaches _bounded_draws' check
+    d = max(draws_per_trial, 1)  # an n below 1 reaches _bounded_draws' check
+    step = max(1, _CHUNK_DRAWS // d, min(_CHUNK_ROWS, _CHUNK_DRAWS_CAP // d))
     for lo in range(start, stop, step):
         yield np.uint64(stride) * (np.uint64(lo) + np.arange(min(step, stop - lo), dtype=np.uint64))
 
@@ -258,10 +265,11 @@ def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, *extra,
 
     Trial i reads streams stride * i onwards, so the seed and the run's
     last stream, stride * trials - 1, are checked here, before any worker
-    starts.  With jobs > 1 the range is split into contiguous parts run
-    in a process pool.  The parts' results (ints, arrays or lists of
-    arrays) add with +, and each trial owns its streams, so the sum is the
-    same for any jobs value.
+    starts.  With jobs > 1 the range is split into jobs contiguous parts
+    run in a process pool of at most one worker per CPU this process may
+    use.  The parts' results (ints, arrays or lists of arrays) add with +,
+    and each trial owns its streams, so the sum is the same for any jobs
+    value.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -270,10 +278,12 @@ def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, *extra,
     RngStream(master_seed, stride * trials - 1)
     if jobs == 1 or trials < 2 * jobs:
         return worker(n, master_seed, 0, trials, *extra)
+    import os
     from concurrent.futures import ProcessPoolExecutor
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     step = -(-trials // jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, cpus)) as pool:  # fork starts every worker at once
         futures = [
             pool.submit(worker, n, master_seed, lo, min(lo + step, trials), *extra)
             for lo in range(0, trials, step)
@@ -282,9 +292,7 @@ def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, *extra,
     return sum(parts[1:], parts[0])
 
 
-def estimate_unique_cyclic(
-    n: int, trials: int, master_seed: int, *, z: float = 1.96, jobs: int = 1
-) -> Estimate:
+def estimate_unique_cyclic(n: int, trials: int, master_seed: int, *, z: float = 1.96, jobs: int = 1) -> Estimate:
     """Monte Carlo estimate of P(uniform mapping has a unique cyclic vertex).
 
     The point estimate targets 1/n.  Results are bit-identical for any
@@ -424,9 +432,7 @@ def _pool_tail(bins: Iterable[tuple], size) -> tuple[list[tuple], int]:
     return kept, len(kept) - 1
 
 
-def chi_square_statistic(
-    h: Histogram, pmf: MappingABC[int, Fraction | float]
-) -> tuple[float, int]:
+def chi_square_statistic(h: Histogram, pmf: MappingABC[int, Fraction | float]) -> tuple[float, int]:
     """Goodness-of-fit statistic of a histogram against an exact pmf.
 
     Bins with expected count below 5 are pooled into a single upper-tail

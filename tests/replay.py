@@ -101,7 +101,7 @@ CONDITIONALS = [
                             (1000, 10, 17))  # n = 1000: 1.2 MB of JSON, each bin seen at most a few times
     for case in _txt_and_json(f"check-conditionals --n {n} --trials {trials} --seed {seed}", f"check_conditionals_n{n}",
                               jobs=(1, 2))
-]
+] + [Case("check-conditionals --n 5000 --trials 2 --seed 20250801", "check_conditionals_n5000.txt", jobs=(1, 2))]
 
 # stdout recorded from the take_along_axis mask that flat pointer doubling replaced;
 # n = 257 is past the vectorised Philox: numpy's Philox re-keyed per trial
@@ -110,7 +110,7 @@ VERIFY = [
     for n, trials, seed in ((1, 300, 41), (2, 500, 42), (7, 2000, 43), (100, 2000, 2**63 + 1), (256, 2000, 45),
                             (257, 500, 2**64 - 1))
     for case in _txt_and_json(f"verify-cayley --n {n} --trials {trials} --seed {seed}", f"verify_cayley_n{n}")
-]
+] + [Case("verify-cayley --n 10000 --trials 200 --seed 20250801 --json", "verify_cayley_n10000.json", jobs=(1, 2))]
 
 # stdout recorded from the HeightSample sampler and the hand-written check dicts;
 # stderr names each check with df = 0 on a line of its own, in check order
@@ -349,11 +349,12 @@ def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
 def fresh_python(*args: str, stdin: bytes = b"", site: bool = True,
                  stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python [-S] *args`` in a new interpreter that imports the package from SRC; stdout is captured unless a
-    file is given."""
+    file is given, and closed before the interpreter starts when it is None."""
     with tempfile.TemporaryDirectory() as cwd:  # nothing on the path but SRC and the interpreter's own
         return subprocess.run(
             [sys.executable, *([] if site else ["-S"]), *args], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
             cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            preexec_fn=None if stdout is not None else lambda: os.close(1),
         )
 
 

@@ -421,30 +421,39 @@ def test_output_file_option(tmp_path):
     assert json.loads(out_path.read_text())["total"] == "4"
 
 
+_WRITERS = [
+    ["sample-function", "--n", "3"],
+    ["enumerate", "--n", "3"],
+    ["verify-cayley", "--n", "5", "--trials", "100", "--json"],
+    ["sample-tree", "--n", "5", "--dot"],
+    ["check-conditionals", "--n", "20", "--trials", "300", "--json"],  # its bins are one write past 8 KiB
+]
+_STDOUTS = ["full stdout", "full unbuffered stdout", "closed stdout"]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["sample-function", "--n", "3"],
-        ["enumerate", "--n", "3"],
-        ["verify-cayley", "--n", "5", "--trials", "100", "--json"],
-        ["sample-tree", "--n", "5", "--dot"],
-        ["check-conditionals", "--n", "20", "--trials", "300", "--json"],  # its bins are one write past 8 KiB
-    ],
+    "argv, where",
+    [pytest.param(argv, where, id=f"{where}-argv{k}")
+     for k, argv in enumerate(_WRITERS) for where in ["missing directory", "directory", *_STDOUTS]]
+    # argparse writes these itself, on stdout only
+    + [pytest.param(argv, where, id=f"{where}-{' '.join(argv)}")
+       for argv in (["--version"], ["--help"], ["heights", "--help"]) for where in _STDOUTS],
 )
-@pytest.mark.parametrize("where", ["missing directory", "directory", "full stdout", "full unbuffered stdout"])
 def test_an_unwritable_output_exits_2_with_one_error_line(tmp_path, monkeypatch, argv, where):
     if where.endswith("stdout"):
-        if not os.path.exists("/dev/full"):
+        if where.startswith("full") and not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this platform")
         # buffered, the interpreter flushes stdout again at exit; unbuffered, the first write fails
         if where == "full unbuffered stdout":
             monkeypatch.setenv("PYTHONUNBUFFERED", "1")
         else:
             monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
-        with open("/dev/full", "w") as full:
-            proc = fresh_python("-m", "cayleykit", *argv, stdout=full)
-        error = b"error: cannot write output: [Errno 28] No space left on device\n"
-        assert (proc.returncode, proc.stderr) == (2, error)
+        if where == "closed stdout":  # descriptor 1 closed at start-up: sys.stdout is None
+            proc, reason = fresh_python("-m", "cayleykit", *argv, stdout=None), "[Errno 9] Bad file descriptor"
+        else:
+            with open("/dev/full", "w") as full:
+                proc, reason = fresh_python("-m", "cayleykit", *argv, stdout=full), "[Errno 28] No space left on device"
+        assert (proc.returncode, proc.stderr.decode()) == (2, f"error: cannot write output: {reason}\n")
         return
     target = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
     code, out, err = run_main([*argv, "--output", str(target)])

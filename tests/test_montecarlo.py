@@ -29,7 +29,7 @@ from cayleykit import (
 )
 from cayleykit import core, montecarlo
 from cayleykit.exploration import Closure, SmallestLabel, explore
-from cayleykit.montecarlo import count_unique_cyclic, tally_round_events
+from cayleykit.montecarlo import count_unique_cyclic, run_trials, tally_round_events
 
 SEED = 90125
 
@@ -274,6 +274,28 @@ def test_batched_counter_across_chunk_boundaries(monkeypatch):
         for i in range(top - 1500, top)
     )
     assert count_unique_cyclic(n, SEED, top - 1500, top) == expected
+
+
+def _chunks(draws_per_trial, start, stop):
+    chunks = list(montecarlo._stream_chunks(SEED, start, stop, draws_per_trial, stride=2))
+    assert np.concatenate(chunks).tolist() == [2 * i for i in range(start, stop)]
+    return [len(streams) for streams in chunks]
+
+
+# recorded before the row floor: the draws a trial of each workload's
+# kernels reads (verify-cayley n = 100, check-conditionals n = 20, heights
+# Prufer n = 50 and rejection n = 30, and their collision windows) and the
+# 2**16 // draws trials of a chunk
+@pytest.mark.parametrize("draws, rows", [(14, 4681), (20, 3276), (30, 2184), (51, 1285), (100, 655)])
+def test_stream_chunks_keep_the_workloads_chunks(draws, rows):
+    assert _chunks(draws, 1000, 1000 + 2 * rows + 5) == [rows, rows, 5]
+
+
+@pytest.mark.parametrize("draws", [2000, 5000, 10**5])
+def test_stream_chunks_keep_a_row_floor_under_a_draw_cap(draws):
+    rows = min(montecarlo._CHUNK_ROWS, montecarlo._CHUNK_DRAWS_CAP // draws)
+    assert montecarlo._CHUNK_DRAWS // draws < rows and rows * draws <= montecarlo._CHUNK_DRAWS_CAP
+    assert _chunks(draws, 7, 7 + 2 * rows + 1) == [rows, rows, 1]
 
 
 def test_tally_round_events_matches_per_trial_path():
@@ -534,6 +556,47 @@ def test_estimate_parallel_matches_sequential():
     seq = estimate_unique_cyclic(20, 20_000, SEED, jobs=1)
     par = estimate_unique_cyclic(20, 20_000, SEED, jobs=3)
     assert seq == par
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that records max_workers and runs each part at submit."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_jobs_above_the_cpus_start_one_worker_per_cpu(monkeypatch, affinity):
+    # no process starts: the pool runs each part inline, and the CPUs are monkeypatched
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "workers", [])
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parts = run_trials(lambda n, seed, lo, hi: [(lo, hi)], 5, SEED, 10_000, 5000)
+    assert _InlinePool.workers == [3 if affinity else 2]
+    assert parts == [(lo, lo + 2) for lo in range(0, 10_000, 2)]  # jobs contiguous parts, in order
+    assert run_trials(count_unique_cyclic, 5, SEED, 1000, 50) == count_unique_cyclic(5, SEED, 0, 1000)
+    assert _InlinePool.workers == [3 if affinity else 2] * 2
 
 
 def test_wilson_interval_examples():
