@@ -134,6 +134,7 @@ HEIGHTS = [
         (1000, "prufer", 300, 2**64 - 1, 0, False, ()),  # a decode of every word at once
         (2000, "rejection", 12, 2**64 - 1, 0, True, ()),  # a pool of one stream, 32 attempts a segment
         (5000, "prufer", 40, 2**64 - 1, 0, True, ()),  # collision windows that widen five times
+        (10000, "prufer", 4, 2**64 - 1, 0, True, ()),  # a 10 000-entry pmf: floats, not Fractions
     )
 ]
 
