@@ -27,7 +27,7 @@ for check in report.checks:
     verdict = "ok" if check.passed else "REJECTED"
     print(
         f"{check.label}: chi2={check.statistic:.1f} "
-        f"(df={check.df}, 99.9% critical {check.critical:.1f}) {verdict}"
+        f"(df={check.df}, p={check.p_value:.3f}) {verdict}"
     )
 
 mean_h = sum(

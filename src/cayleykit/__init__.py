@@ -9,7 +9,7 @@ pays for numpy.
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 _HOMES = {
     "core": (

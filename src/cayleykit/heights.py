@@ -109,12 +109,12 @@ def sample_collision_count(n: int, stream: RngStream) -> int:
 
 
 class ChiSquareCheck(Record):
-    """One chi-square comparison inside a law-equality report."""
+    """One chi-square comparison inside a law-equality report; it passed if p_value >= 1 - _LEVEL."""
 
     label: str
     statistic: float
     df: int
-    critical: float
+    p_value: float
     passed: bool
 
 
@@ -258,15 +258,19 @@ def tally_law_histograms(n: int, master_seed: int, start: int, stop: int, method
     return counts
 
 
-def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
-    """(P(a, x), Q(a, x), x^a e^-x / Gamma(a)) for a, x > 0; P + Q = 1.
+def _chi_square_p(statistic: float, df: int) -> float:
+    """The chi-square upper tail Q(df/2, statistic/2): the p-value of
+    statistic on df degrees of freedom, 1.0 at df 0, where nothing is tested.
 
-    P by its power series below x = a + 1, Q by Legendre's continued
-    fraction (modified Lentz) above.  The factor x^a e^-x / Gamma(a) is
-    exp(a (log(x/a) - d) + log(a / 2 pi) / 2 - stirling(a)), d = (x-a)/a,
+    1 - P(a, x) by its power series below x = a + 1, Q by Legendre's
+    continued fraction (modified Lentz) above.  Both scale x^a e^-x / Gamma(a)
+    = exp(a (log(x/a) - d) + log(a / 2 pi) / 2 - stirling(a)), d = (x-a)/a,
     whose log1p(d) - d keeps full accuracy near x = a at large a, where
     a log x - x - lgamma(a) cancels to a few units.
     """
+    if df == 0 or statistic <= 0:  # Q(a, 0) = 1
+        return 1.0
+    a, x = df / 2, statistic / 2
     if a < 15:
         log_factor = a * math.log(x) - x - math.lgamma(a)
     else:
@@ -283,7 +287,7 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
             k += 1
             term *= x / k
             total += term
-        return factor * total, 1 - factor * total, factor
+        return 1 - factor * total
     b, c, i = x + 1 - a, 1 / _TINY, 0
     h = d = 1 / b
     while abs(c * d - 1) > _EPS:
@@ -292,58 +296,27 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float, float]:
         d = 1 / (an * d + b or _TINY)
         c = b + an / c or _TINY
         h *= c * d
-    return 1 - factor * h, factor * h, factor
-
-
-def _critical_value(df: int, level: float) -> float:
-    """The chi-square quantile at level: 2 P^-1(df/2, level), P the regularized
-    lower incomplete gamma, as scipy.special.gammaincinv gives it.
-
-    Halley steps on P, or on Q = 1 - P above level 0.5, from the
-    Wilson-Hilferty cube (or x^a ~ level Gamma(a+1) deep in the lower
-    tail), kept inside the bracket the iterates have found.  The steps
-    shrink fast until rounding noise; a step that stops shrinking, once
-    below 1e-9 x, ends the search.  df <= 0 gives 0.
-    """
-    if not 0 <= level <= 1:  # NaN too
-        raise ValueError(f"level must be in [0, 1], got {level}")
-    if df <= 0 or level == 0:
-        return 0.0
-    if level == 1:
-        return math.inf
-    a, upper = df / 2, level > 0.5
-    # a normal quantile to 4.5e-4 (Abramowitz and Stegun 26.2.23) for the start
-    t = math.sqrt(-2 * math.log(1 - level if upper else level))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    cube = 1 - 2 / (9 * df) + (z if upper else -z) * math.sqrt(2 / (9 * df))
-    if upper or cube > 0.5:
-        x = a * cube**3
-    else:
-        x = math.exp((math.log(level) + math.lgamma(a + 1)) / a)
-    lo, hi, last = 0.0, math.inf, math.inf
-    for _ in range(100):
-        if x == 0:  # below the smallest float
-            break
-        p, q, factor = _gamma_tails(a, x)
-        g = (1 - level) - q if upper else p - level  # increasing in x, derivative factor / x
-        if g == 0:
-            break
-        lo, hi = (lo, x) if g > 0 else (x, hi)
-        newton = g * x / factor
-        step = newton / (1 - 0.5 * newton * ((a - 1) / x - 1))
-        if x - step == x or abs(step) >= abs(last) and abs(step) < 1e-9 * x:
-            break
-        last = step
-        x -= step
-        if not lo < x < hi:  # Halley overshot: bisect the bracket, or double while it is open
-            x = (lo + hi) / 2 if hi < math.inf else 2 * lo
-    return 2 * x
+    return factor * h
 
 
 #: The level of law_equality_report's three chi-square checks.
 _LEVEL = 0.999
+
+
+def _collision_pmf(n: int) -> dict[int, float]:
+    """exact_collision_pmf(n) in correctly rounded floats, keyed by k.
+
+    P(C=k) = k (n)_k / n^(k+1) is one int/int true division.  Entries
+    before the mode are at least 1/n and past it the pmf only falls, so
+    all entries after the first that rounds to 0.0 are 0.0 too.
+    """
+    pmf, falling, power = dict.fromkeys(range(1, n + 1), 0.0), 1, n
+    for k in pmf:
+        falling, power = falling * (n - k + 1), power * n
+        pmf[k] = k * falling / power
+        if pmf[k] == 0.0:
+            break
+    return pmf
 
 
 def law_equality_report(
@@ -354,9 +327,9 @@ def law_equality_report(
     Builds the two sampled histograms, tests each against the exact
     collision pmf and the pair against each other, and (for n small
     enough to enumerate) adds the exact rational identity between the
-    pmf of 1+H and the collision pmf.  All tests use the chi-square
-    critical values at level _LEVEL.  A check whose mass pools into
-    one bin has df 0 and critical value 0: nothing to test, so it passes.
+    pmf of 1+H and the collision pmf.  Each check passes if its
+    chi-square p-value is at least 1 - _LEVEL; a check whose mass pools
+    into one bin has df 0 and p-value 1: nothing to test.
     """
     from .enumeration import exact_collision_pmf, exact_height_pmf
     from .montecarlo import Histogram, chi_square_statistic, run_trials, two_sample_chi_square
@@ -366,21 +339,17 @@ def law_equality_report(
     if method not in _HEIGHT_KERNELS:
         raise ValueError(f"unknown method {method!r}; use 'rejection' or 'prufer'")
     h_counts, c_counts = run_trials(tally_law_histograms, n, master_seed, trials, jobs, method, stride=2).tolist()
-    hist_h = Histogram(1, tuple(h_counts), trials)
-    hist_c = Histogram(1, tuple(c_counts), trials)
-    pmf = {k: p for k, p in enumerate(exact_collision_pmf(n), start=1)}
+    hist_h, hist_c = (Histogram(1, tuple(counts), trials) for counts in (h_counts, c_counts))
+    pmf = _collision_pmf(n)
     checks = []
     for label, (stat, df) in (
         (f"height_plus_one[{method}] vs exact collision pmf", chi_square_statistic(hist_h, pmf)),
         ("collision vs exact collision pmf", chi_square_statistic(hist_c, pmf)),
         (f"height_plus_one[{method}] vs collision (two-sample)", two_sample_chi_square(hist_h, hist_c)),
     ):
-        crit = _critical_value(df, _LEVEL)
-        checks.append(ChiSquareCheck(label, stat, df, crit, df == 0 or stat <= crit))  # df 0: nothing to test
-    exact_equal = None
-    if n <= 6:  # larger n would cost a full n^n enumeration
-        height_pmf = exact_height_pmf(n)  # entry h is P(H=h), i.e. P(1+H = h+1)
-        exact_equal = tuple(height_pmf) == tuple(exact_collision_pmf(n))
+        checks.append(ChiSquareCheck(label, stat, df, p := _chi_square_p(stat, df), p >= 1 - _LEVEL))
+    # entry h of the height pmf is P(H=h), i.e. P(1+H = h+1); larger n would cost a full n^n enumeration
+    exact_equal = exact_height_pmf(n) == exact_collision_pmf(n) if n <= 6 else None
     return LawEqualityReport(
         n=n,
         trials=trials,

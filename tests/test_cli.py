@@ -185,6 +185,19 @@ def test_cli_warnings_are_plain_lines():
         replay(case)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the peak from /proc/self/status")
+def test_heights_at_n_20000_peaks_below_100_mb():
+    # the pmf in exact Fractions, with denominators of up to 254 152 bits, would peak at 676 MB.  The child
+    # prints its VmHWM, the peak of its own image: ru_maxrss keeps the peak of the process it was forked from
+    code = ("import sys; from cayleykit.cli import main; code = main(sys.argv[1:]); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0], file=sys.stderr); sys.exit(code)")
+    with open(os.devnull, "wb") as devnull:
+        proc = fresh_python("-c", code, "heights", "--n", "20000", "--trials", "4", stdout=devnull)
+    assert proc.returncode == 0, proc.stderr.decode()
+    kib = int(proc.stderr.split()[-1])
+    assert kib < 100 * 1024, kib
+
+
 def test_jobs_flag_gives_identical_bytes():
     replay(next(case for case in VERIFY if 3 in case.jobs), 3)
 

@@ -91,7 +91,7 @@ def test_only_the_cli_writes_to_stdout_or_stderr():
 
 
 def test_no_module_imports_scipy():
-    # scipy is a test dependency only: the oracle for the chi-square quantile
+    # scipy is a test dependency only: the oracle for the chi-square tail
     assert _modules_importing("scipy") == []
 
 
@@ -107,7 +107,7 @@ def test_star_import_binds_the_home_modules_objects():
     homes = [importlib.import_module(f"cayleykit.{layer}") for layer in LAYERS]
     for name in PUBLIC_NAMES:
         if name == "__version__":
-            assert namespace[name] == "0.9.0"
+            assert namespace[name] == "0.10.0"
             continue
         assert any(vars(home).get(name) is namespace[name] for home in homes), name
 
@@ -133,21 +133,56 @@ def test_every_name_perfbench_imports_resolves():
     assert missing == []
 
 
+def _names_used(node):
+    """The loaded names, attributes and imported aliases in node: what counts as a use."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            used.update(alias.name for alias in sub.names)
+    return used
+
+
+PACKAGE = pathlib.Path(cayleykit.__file__).resolve().parent
+OUTSIDE_THE_LIBRARY = sorted(DEMOS.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # surface that only the tests use belongs in the tests: a use is a loaded name, an attribute or an
     # imported alias in the library (less __init__.py), the demos or the benchmark; a def or class is not one
-    package = pathlib.Path(cayleykit.__file__).resolve().parent
-    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
-    sources += sorted(DEMOS.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    used = set()
-    for node in (node for path in sources for node in ast.walk(ast.parse(path.read_text()))):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            used.update(alias.name for alias in node.names)
+    sources = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"] + OUTSIDE_THE_LIBRARY
+    used = set().union(*(_names_used(ast.parse(path.read_text())) for path in sources))
     assert [name for name in cayleykit.__all__ if name not in used and name != "__version__"] == []
+
+
+def _private_names(statement):
+    """The private (not dunder) names a module-level def, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_name_in_the_library_is_used_outside_its_definition():
+    # the same rule for the library's private defs, classes and constants: each must be used by another
+    # module-level statement of the library, the demos or the benchmark, not by the tests alone
+    library = [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    statements = [s for _, tree in library for s in tree.body]
+    statements += [s for path in OUTSIDE_THE_LIBRARY for s in ast.parse(path.read_text()).body]
+    uses = [(statement, _names_used(statement)) for statement in statements]
+    defined = [(module, statement, name) for module, tree in library for statement in tree.body
+               for name in _private_names(statement)]
+    assert len(defined) > 50
+    unused = [f"{module}:{name}" for module, statement, name in defined
+              if not any(name in used for other, used in uses if other is not statement)]
+    assert unused == []
 
 
 def test_unknown_attribute_raises_attribute_error():

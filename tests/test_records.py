@@ -30,8 +30,8 @@ ROUND_REPR = (
 )
 HIST = Histogram(1, (2, 3), 5)
 HIST_REPR = "Histogram(lo=1, counts=(2, 3), total=5)"
-CHECK = ChiSquareCheck("height", 1.5, 2, 5.991464547107979, True)
-CHECK_REPR = "ChiSquareCheck(label='height', statistic=1.5, df=2, critical=5.991464547107979, passed=True)"
+CHECK = ChiSquareCheck("height", 1.5, 2, 0.4723665527410147, True)
+CHECK_REPR = "ChiSquareCheck(label='height', statistic=1.5, df=2, p_value=0.4723665527410147, passed=True)"
 # one column per bin field since 0.8.0, the prediction as numerator and denominator
 REPORT_FIELDS = dict(n=7, trials=100, seed=3, se_threshold=3.0, round_index=(1,), t_prev=(0,), t_cur=(2,),
                      observations=(10,), successes=(4,), numerator=(1,), denominator=(2,), frequency=(0.4,),
@@ -65,7 +65,7 @@ CASES = [
         dict(n=3, rounds=(ROUND,), T=(3,), K=1),
         f"ExplorationTrace(n=3, rounds=({ROUND_REPR},), T=(3,), K=1)",
     ),
-    (ChiSquareCheck, dict(label="height", statistic=1.5, df=2, critical=5.991464547107979, passed=True), CHECK_REPR),
+    (ChiSquareCheck, dict(label="height", statistic=1.5, df=2, p_value=0.4723665527410147, passed=True), CHECK_REPR),
     (
         LawEqualityReport,
         dict(n=3, trials=5, seed=9, height_method="prufer", height_plus_one=HIST,
@@ -240,7 +240,7 @@ def test_flat_json_dicts_keep_the_field_order():
         ("trials", 100), ("successes", 3), ("point", 0.03), ("ci_low", 0.01), ("ci_high", 0.08), ("z", 1.96),
     ]
     assert list(CHECK.to_json_dict().items()) == [
-        ("label", "height"), ("statistic", 1.5), ("df", 2), ("critical", 5.991464547107979), ("passed", True),
+        ("label", "height"), ("statistic", 1.5), ("df", 2), ("p_value", 0.4723665527410147), ("passed", True),
     ]
 
 
