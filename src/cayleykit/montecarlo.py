@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
-from typing import Iterable, Mapping as MappingABC
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import core
 from .core import _PHILOX_W, _U64, Record
 from .core import RngStream, sample_mapping  # re-exported: montecarlo was their home
+
+if TYPE_CHECKING:  # annotations only: fractions imports decimal, a cost no sampling command needs
+    from collections.abc import Iterable, Mapping as MappingABC
+    from fractions import Fraction
 
 
 class Estimate(Record):
@@ -263,33 +266,60 @@ def count_unique_cyclic(n: int, master_seed: int, start: int, stop: int) -> int:
 def run_trials(worker, n: int, master_seed: int, trials: int, jobs: int, *extra, stride: int = 1):
     """The sum of worker(n, master_seed, lo, hi, *extra) over parts [lo, hi) of trials [0, trials).
 
-    Trial i reads streams stride * i onwards, so the seed and the run's
-    last stream, stride * trials - 1, are checked here, before any worker
-    starts.  With jobs > 1 the range is split into jobs contiguous parts
-    run in a process pool of at most one worker per CPU this process may
-    use.  The parts' results (ints, arrays or lists of arrays) add with +,
-    and each trial owns its streams, so the sum is the same for any jobs
-    value.
+    Trial i reads streams stride * i onwards, so the seed and the run's last stream, stride * trials - 1,
+    are checked before any worker starts.  With jobs > 1 and trials >= 2 jobs, this process runs the
+    first of min(jobs, usable CPUs) contiguous parts, and a child forked per other part pipes back a
+    pickle of its result or of the exception that stopped it, raised here (RuntimeError if it sent none);
+    without os.fork this process runs every trial.  The results (ints, arrays or lists of arrays) add
+    with +, and each trial owns its streams, so the sum is the same for any jobs value.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     RngStream(master_seed, stride * trials - 1)
-    if jobs == 1 or trials < 2 * jobs:
-        return worker(n, master_seed, 0, trials, *extra)
     import os
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
 
+    if jobs == 1 or trials < 2 * jobs or not hasattr(os, "fork"):
+        return worker(n, master_seed, 0, trials, *extra)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    step = -(-trials // jobs)
-    with ProcessPoolExecutor(max_workers=min(jobs, cpus)) as pool:  # fork starts every worker at once
-        futures = [
-            pool.submit(worker, n, master_seed, lo, min(lo + step, trials), *extra)
-            for lo in range(0, trials, step)
-        ]
-        parts = [f.result() for f in futures]
-    return sum(parts[1:], parts[0])
+    step = -(-trials // min(jobs, cpus))
+    parts = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    pids, pipes, sent = [], [], None
+    try:
+        for lo, hi in parts[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:  # this process's write end closes after the fork, or if it fails
+                if (pid := os.fork()) == 0:  # the child ends in os._exit: it runs no atexit handler, flushes no stdio
+                    try:
+                        pipes[-1].close()  # so its write fails at once if the caller stops reading
+                        try:
+                            result = True, worker(n, master_seed, lo, hi, *extra)
+                        except Exception as exc:
+                            result = False, exc
+                        out.write(pickle.dumps(result))
+                        out.close()
+                    finally:
+                        os._exit(0 if out.closed else 1)  # 1: the result was not sent
+                pids.append(pid)
+        total = worker(n, master_seed, *parts[0], *extra)
+        sent = [pipe.read() for pipe in pipes]  # every pipe is read before any child is reaped
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if sent is None:  # an error here: stop every child still at work
+            for pid in pids:
+                os.kill(pid, 9)  # SIGKILL
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for data, code, (lo, hi) in zip(sent, codes, parts[1:]):
+        died = RuntimeError(f"the worker process of trials [{lo}, {hi}) ended without a result (exit code {code})")
+        ok, result = pickle.loads(data) if code == 0 else (False, died)
+        if not ok:
+            raise result
+        total = total + result
+    return total
 
 
 def estimate_unique_cyclic(n: int, trials: int, master_seed: int, *, z: float = 1.96, jobs: int = 1) -> Estimate:

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -6,6 +7,17 @@ from cayleykit import Closure, Mapping
 from cayleykit.enumeration import MAX_COUNT_N
 
 pytest.register_assert_rewrite("replay")  # before a test module imports the replay table
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Fail a test after which this process still has a child, running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process outlived the test (waitpid(-1, WNOHANG) gave pid {pid}, status {status})")
 
 
 def all_tables(n):

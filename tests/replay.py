@@ -112,6 +112,12 @@ VERIFY = [
     for case in _txt_and_json(f"verify-cayley --n {n} --trials {trials} --seed {seed}", f"verify_cayley_n{n}")
 ] + [Case("verify-cayley --n 10000 --trials 200 --seed 20250801 --json", "verify_cayley_n10000.json", jobs=(1, 2))]
 
+# a fresh --jobs 2 run forks its worker from the calling process: no executor loads,
+# and neither does fractions (nor decimal, which it imports), which only annotates there
+VERIFY_FORK = Case(f"verify-cayley --n 100 --trials 2000 --seed {2**63 + 1} --json", "verify_cayley_n100.json",
+                   jobs=(2,), banned=("concurrent.futures", "multiprocessing", "fractions", "decimal"),
+                   name="verify_cayley_n100.json --jobs 2 in a fresh interpreter")
+
 # stdout recorded from the HeightSample sampler and the hand-written check dicts,
 # with each check's critical value replaced in place by its p-value in 0.10.0;
 # stderr names each check with df = 0 on a line of its own, in check order
@@ -328,8 +334,8 @@ STRICT = [
            "invalid Prufer JSON: expected an integer, got False"),
 ]
 
-CASES = [*ENUMERATE, *CONDITIONALS, *VERIFY, *HEIGHTS, HEIGHTS_DEFAULT, *SAMPLERS, *STDIN, PIPE, *COUNTS, *STREAM_RANGE,
-         ROUND_CODES, *BAD_Z, VERSION, VERSION_CLI, UNKNOWN, EXACT, *MALFORMED, *STRICT]
+CASES = [*ENUMERATE, *CONDITIONALS, *VERIFY, VERIFY_FORK, *HEIGHTS, HEIGHTS_DEFAULT, *SAMPLERS, *STDIN, PIPE, *COUNTS,
+         *STREAM_RANGE, ROUND_CODES, *BAD_Z, VERSION, VERSION_CLI, UNKNOWN, EXACT, *MALFORMED, *STRICT]
 
 
 def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:

@@ -359,6 +359,20 @@ def test_the_json_rows_writer_writes_the_bytes_of_json_dumps(columns):
     assert cli._json_rows(columns) == json.dumps(rows, indent=2)
 
 
+def _dies_past_the_first_part(n, seed, lo, hi):
+    if lo:
+        os._exit(3)
+    return 0
+
+
+def test_a_worker_that_dies_exits_1_with_one_error_line(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # forks on a 1-CPU runner too
+    monkeypatch.setattr(montecarlo, "count_unique_cyclic", _dies_past_the_first_part)
+    code, out, err = run_main(["verify-cayley", "--n", "5", "--trials", "100", "--jobs", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: the worker process of trials [50, 100) ended without a result (exit code 3)\n"
+
+
 def test_check_conditionals_prints_the_bin_table_of_planted_tallies(monkeypatch):
     # T_1 = 1 with a miss (p = 1, so se 0 and deviation inf) and a prediction
     # 6/8 that prints as 3/4, met exactly

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter, namedtuple
 from fractions import Fraction
@@ -558,45 +559,85 @@ def test_estimate_parallel_matches_sequential():
     assert seq == par
 
 
-class _InlinePool:
-    """A ProcessPoolExecutor stand-in that records max_workers and runs each part at submit."""
-
-    workers: list = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 @pytest.mark.parametrize("affinity", [True, False])
 def test_jobs_above_the_cpus_start_one_worker_per_cpu(monkeypatch, affinity):
-    # no process starts: the pool runs each part inline, and the CPUs are monkeypatched
-    import concurrent.futures
+    # the caller runs the first part, so w usable CPUs fork w - 1 children
+    forks = []
+    real_fork = os.fork
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "workers", [])
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     if affinity:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     else:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    parts = run_trials(lambda n, seed, lo, hi: [(lo, hi)], 5, SEED, 10_000, 5000)
-    assert _InlinePool.workers == [3 if affinity else 2]
-    assert parts == [(lo, lo + 2) for lo in range(0, 10_000, 2)]  # jobs contiguous parts, in order
-    assert run_trials(count_unique_cyclic, 5, SEED, 1000, 50) == count_unique_cyclic(5, SEED, 0, 1000)
-    assert _InlinePool.workers == [3 if affinity else 2] * 2
+    total = run_trials(count_unique_cyclic, 5, SEED, 10_000, 5000)
+    assert len(forks) == (2 if affinity else 1)
+    assert total == run_trials(count_unique_cyclic, 5, SEED, 10_000, 1) == count_unique_cyclic(5, SEED, 0, 10_000)
+    assert len(forks) == (2 if affinity else 1)  # --jobs 1 forks nothing
+
+
+def _parts(n, seed, lo, hi):
+    return [(lo, hi, os.getpid())]
+
+
+def test_without_fork_the_caller_runs_every_trial(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run_trials(_parts, 5, SEED, 1000, 2) == [(0, 1000, os.getpid())]
+
+
+def _faulty(n, seed, lo, hi, fault):
+    """A worker whose parts after the first (the children's) fail as `fault` says; the first one raises on "caller"."""
+    if lo == 0:
+        if fault == "caller":
+            raise KeyError("the caller's part failed")
+        return 0
+    if fault == "raise":
+        raise ValueError(f"part [{lo}, {hi}) failed")
+    if fault == "exit":
+        os._exit(3)
+    time.sleep(60)  # "caller": a child still at work when the caller's part fails
+    return 1
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_the_fan_out_returns_each_part_once_from_its_own_process(two_cpus):
+    parts = run_trials(_parts, 5, SEED, 1001, 2)
+    assert [part[:2] for part in parts] == [(0, 501), (501, 1001)]
+    assert parts[0][2] == os.getpid() != parts[1][2]  # the first part runs in the caller
+
+
+def test_a_childs_exception_is_raised_in_the_caller(two_cpus):
+    with pytest.raises(ValueError, match=r"^part \[50, 100\) failed$"):
+        run_trials(_faulty, 5, SEED, 100, 2, "raise")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_that_ends_without_a_result_raises_runtime_error(two_cpus):
+    message = r"^the worker process of trials \[50, 100\) ended without a result \(exit code 3\)$"
+    with pytest.raises(RuntimeError, match=message):
+        run_trials(_faulty, 5, SEED, 100, 2, "exit")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_caller_part_kills_the_children(two_cpus):
+    started = time.monotonic()
+    with pytest.raises(KeyError, match="the caller's part failed"):
+        run_trials(_faulty, 5, SEED, 100, 2, "caller")
+    assert time.monotonic() - started < 30  # the child's 60 s sleep was cut short
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_wilson_interval_examples():
